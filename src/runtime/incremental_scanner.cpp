@@ -178,11 +178,8 @@ void IncrementalScanner::price_range(std::size_t s, std::size_t begin,
   // view's cached price arrays (identical factors in identical order to
   // view.price_product, hence bit-identical). Only the profitable
   // orientation (product > 1) survives into the solver ladder — the
-  // filter_arbitrage gate of scan_market. One clock pair for the whole
-  // sweep instead of two per gated cycle.
-  std::size_t gated_cpmm = 0;
-  std::size_t gated_mixed = 0;
-  const auto gate_t0 = std::chrono::steady_clock::now();
+  // filter_arbitrage gate of scan_market. The sweep is not timed: the
+  // per-kind latencies cover solves only.
   for (std::size_t position = begin; position < end; ++position) {
     const std::uint32_t local = shard.dirty[position];
     if (shard.quarantine_count[local] != 0) {
@@ -207,21 +204,10 @@ void IncrementalScanner::price_range(std::size_t s, std::size_t begin,
       // the next profitable visit resumes from the cached iterate (the
       // interior projection guards against genuine staleness).
       shard.slots[local].reset();
-      ++(shard.mixed[local] != 0 ? gated_mixed : gated_cpmm);
+      ++stats.gated;
       continue;
     }
     survivors.push_back(static_cast<std::uint32_t>(position));
-  }
-  if (gated_cpmm + gated_mixed > 0) {
-    const double gate_us = std::chrono::duration<double, std::micro>(
-                               std::chrono::steady_clock::now() - gate_t0)
-                               .count();
-    const double share =
-        gate_us / static_cast<double>(gated_cpmm + gated_mixed);
-    stats.cpmm_us += share * static_cast<double>(gated_cpmm);
-    stats.mixed_us += share * static_cast<double>(gated_mixed);
-    stats.repriced_cpmm += gated_cpmm;
-    stats.repriced_mixed += gated_mixed;
   }
 
   // Pass B — the per-cycle solver ladder over the gate's survivors,
@@ -357,16 +343,19 @@ Result<ApplyReport> IncrementalScanner::wait_reprice() {
       report.repriced_mixed += stats.repriced_mixed;
       report.repriced_mixed_fast += stats.repriced_mixed_fast;
       report.repriced_mixed_generic += stats.repriced_mixed_generic;
+      report.gated += stats.gated;
       report.reprice_cpmm_us += stats.cpmm_us;
       report.reprice_mixed_us += stats.mixed_us;
       report.solver_fallbacks += stats.solver_fallbacks;
-      report.shard_repriced[s] += stats.repriced_cpmm + stats.repriced_mixed;
+      report.shard_repriced[s] +=
+          stats.repriced_cpmm + stats.repriced_mixed + stats.gated;
     }
   }
   // Cycles skipped because they traverse a quarantined pool are not
   // counted as repriced, so the total stays the sum of the per-kind
-  // splits (the parity the metrics tests pin down).
-  report.repriced = report.repriced_cpmm + report.repriced_mixed;
+  // splits and the gate rejects (the parity the metrics tests pin down).
+  report.repriced =
+      report.repriced_cpmm + report.repriced_mixed + report.gated;
   report.warm_invalidations += pending_warm_invalidations_;
   pending_warm_invalidations_ = 0;
   // The ranking is NOT rebuilt here: reprice marked the touched shards

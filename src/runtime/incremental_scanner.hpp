@@ -72,7 +72,9 @@ namespace arb::runtime {
 struct ApplyReport {
   std::size_t events = 0;        ///< batch size received
   std::size_t unique_pools = 0;  ///< after last-wins coalescing
-  std::size_t repriced = 0;      ///< dirty cycles re-evaluated
+  /// Dirty cycles visited: repriced_cpmm + repriced_mixed + gated
+  /// (cycles skipped for a quarantined pool count in none).
+  std::size_t repriced = 0;
   /// Convex strategy with convex_warm_start only: barrier solves that
   /// resumed from the cycle's previous optimum vs. ones that cold-started
   /// (closed-form, generic-routed and price-product-gated cycles count
@@ -88,19 +90,21 @@ struct ApplyReport {
   /// Convex strategy only: total Newton iterations across this round's
   /// barrier solves (0 for analytic and generic solves).
   std::uint64_t solver_iterations = 0;
-  /// Per-kind split of `repriced`: loops whose hops are all CPMM vs.
-  /// loops crossing at least one StableSwap/concentrated pool, plus wall
-  /// time spent pricing each class.
+  /// Dirty cycles the price-product gate rejected (profitless
+  /// orientation): never solved, and not timed per kind.
+  std::size_t gated = 0;
+  /// Gate survivors that went through the solver ladder, split by kind:
+  /// loops whose hops are all CPMM vs. loops crossing at least one
+  /// StableSwap/concentrated pool, plus wall time spent solving each.
   std::size_t repriced_cpmm = 0;
   std::size_t repriced_mixed = 0;
   double reprice_cpmm_us = 0.0;
   double reprice_mixed_us = 0.0;
-  /// Convex strategy only: split of the mixed solves that reached the
-  /// solver ladder (gate survivors) by route — the analytic-kernel
-  /// barrier fast path vs. the derivative-free generic solver (fast-path
-  /// disabled, tick-crossing caps, degenerate hop state, or rescue).
-  /// Gate-rejected mixed cycles count in `repriced_mixed` but in neither
-  /// split, so fast + generic ≤ repriced_mixed.
+  /// Convex strategy only: split of the mixed solves by route — the
+  /// analytic-kernel barrier fast path vs. the derivative-free generic
+  /// solver (fast-path disabled, tick-crossing caps, degenerate hop
+  /// state, or rescue). Failed solves count in neither, so
+  /// fast + generic ≤ repriced_mixed.
   std::size_t repriced_mixed_fast = 0;
   std::size_t repriced_mixed_generic = 0;
   /// Convex strategy only: barrier solves rescued by the generic
@@ -215,6 +219,7 @@ class IncrementalScanner {
     std::size_t repriced_mixed = 0;
     std::size_t repriced_mixed_fast = 0;
     std::size_t repriced_mixed_generic = 0;
+    std::size_t gated = 0;
     double cpmm_us = 0.0;
     double mixed_us = 0.0;
     std::uint64_t solver_fallbacks = 0;

@@ -12,12 +12,32 @@
 namespace arb::runtime {
 namespace {
 
+using H = LatencyHistogram;
+
+/// Bucket 0 holds [0, 1) µs; bucket 1 + 8e + s holds
+/// [2^e (1 + s/8), 2^e (1 + (s+1)/8)). The sub-bucket s comes from the
+/// sample's mantissa: its integer part has fewer than three bits below
+/// 8 µs, which would lose the 12.5% bound there.
 std::size_t bucket_of(double microseconds) {
   if (!(microseconds >= 1.0)) return 0;
-  const auto us = static_cast<std::uint64_t>(microseconds);
-  const std::size_t b = std::bit_width(us) - 1;  // floor(log2(us))
-  return std::min(b, LatencyHistogram::kBuckets - 1);
+  if (!(microseconds < std::ldexp(1.0, H::kOctaves))) return H::kBuckets - 1;
+  int exponent = 0;
+  const double mantissa = std::frexp(microseconds, &exponent);  // [0.5, 1)
+  const auto sub = static_cast<std::size_t>(mantissa * 2 * H::kSubBuckets) -
+                   H::kSubBuckets;
+  return 1 + static_cast<std::size_t>(exponent - 1) * H::kSubBuckets + sub;
 }
+
+/// Lower edge of bucket b >= 1; bucket b ends where bucket b + 1 starts.
+double lower_edge(std::size_t b) {
+  const std::size_t octave = (b - 1) / H::kSubBuckets;
+  const std::size_t sub = (b - 1) % H::kSubBuckets;
+  return std::ldexp(1.0 + static_cast<double>(sub) / H::kSubBuckets,
+                    static_cast<int>(octave));
+}
+
+constexpr std::array kLatencyColumns = {"_samples", "_p50_us", "_p90_us",
+                                        "_p99_us", "_max_us"};
 
 }  // namespace
 
@@ -31,10 +51,6 @@ void LatencyHistogram::record(double microseconds) {
              seen, std::bit_cast<std::uint64_t>(microseconds),
              std::memory_order_relaxed)) {
   }
-}
-
-std::uint64_t LatencyHistogram::samples() const {
-  return total_.load(std::memory_order_relaxed);
 }
 
 double LatencyHistogram::max_us() const {
@@ -55,8 +71,8 @@ double LatencyHistogram::quantile(double q) const {
   for (std::size_t b = 0; b < kBuckets; ++b) {
     if (counts[b] == 0) continue;
     if (static_cast<double>(seen + counts[b]) >= rank) {
-      const double lo = b == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(b));
-      const double hi = std::ldexp(1.0, static_cast<int>(b) + 1);
+      const double lo = b == 0 ? 0.0 : lower_edge(b);
+      const double hi = lower_edge(b + 1);
       const double within =
           (rank - static_cast<double>(seen)) / static_cast<double>(counts[b]);
       // The true sample never exceeds the observed maximum; clamp the
@@ -70,195 +86,83 @@ double LatencyHistogram::quantile(double q) const {
 
 std::uint64_t MetricsSnapshot::events_rejected_total() const {
   std::uint64_t total = 0;
-  for (const std::uint64_t n : events_rejected) total += n;
+  for (std::size_t r = 0; r < kRejectReasonCount; ++r) {
+    total += (*this)[rejected_counter(static_cast<RejectReason>(r))];
+  }
   return total;
 }
 
 std::uint64_t MetricsSnapshot::shard_repriced_min() const {
-  std::uint64_t lo = UINT64_MAX;
-  for (const std::uint64_t n : shard_repriced) lo = std::min(lo, n);
-  return shard_repriced.empty() ? 0 : lo;
+  const auto it = std::ranges::min_element(shard_repriced);
+  return it == shard_repriced.end() ? 0 : *it;
 }
 
 std::uint64_t MetricsSnapshot::shard_repriced_max() const {
-  std::uint64_t hi = 0;
-  for (const std::uint64_t n : shard_repriced) hi = std::max(hi, n);
-  return hi;
+  const auto it = std::ranges::max_element(shard_repriced);
+  return it == shard_repriced.end() ? 0 : *it;
+}
+
+std::string MetricsSnapshot::summary() const {
+  std::string line;
+  char cell[192];
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    std::snprintf(cell, sizeof(cell), "%s=%llu ", kCounterNames[i],
+                  static_cast<unsigned long long>(counters[i]));
+    line += cell;
+  }
+  for (std::size_t i = 0; i < kGaugeCount; ++i) {
+    std::snprintf(cell, sizeof(cell), "%s=%.10g ", kGaugeNames[i], gauges[i]);
+    line += cell;
+  }
+  for (std::size_t i = 0; i < kLatencyCount; ++i) {
+    const LatencyStats& l = latencies[i];
+    std::snprintf(cell, sizeof(cell),
+                  "%s_us{n=%llu p50=%.1f p90=%.1f p99=%.1f max=%.1f} ",
+                  kLatencyNames[i], static_cast<unsigned long long>(l.samples),
+                  l.p50_us, l.p90_us, l.p99_us, l.max_us);
+    line += cell;
+  }
+  std::snprintf(cell, sizeof(cell), "shard_repriced=[%llu..%llu]",
+                static_cast<unsigned long long>(shard_repriced_min()),
+                static_cast<unsigned long long>(shard_repriced_max()));
+  return line + cell;
+}
+
+std::vector<std::string> MetricsSnapshot::csv_columns() {
+  std::vector<std::string> columns(kCounterNames.begin(), kCounterNames.end());
+  columns.insert(columns.end(), kGaugeNames.begin(), kGaugeNames.end());
+  for (const char* name : kLatencyNames) {
+    for (const char* suffix : kLatencyColumns) {
+      columns.push_back(std::string(name) + suffix);
+    }
+  }
+  columns.insert(columns.end(), {"shard_repriced_min", "shard_repriced_max"});
+  return columns;
 }
 
 void RuntimeMetrics::set_shard_plan(std::size_t shards, double imbalance) {
-  shards_ = shards;
-  shard_imbalance_ = imbalance;
+  set(Gauge::shards, shards);
+  set(Gauge::shard_imbalance, imbalance);
   // Atomics are neither copyable nor movable; swap in a fresh buffer of
   // value-initialized counters instead of resizing element-wise.
   shard_repriced_ = std::vector<std::atomic<std::uint64_t>>(shards);
 }
 
-std::string MetricsSnapshot::summary() const {
-  char buffer[1152];
-  std::snprintf(buffer, sizeof(buffer),
-                "ingested=%llu dropped=%llu coalesced=%llu batches=%llu "
-                "repriced=%llu (cpmm=%llu mixed=%llu fast=%llu gen=%llu) "
-                "depth=%llu "
-                "newton=%llu warm=%llu/%llu warm_inval=%llu "
-                "reprice_us{p50=%.1f p90=%.1f p99=%.1f max=%.1f n=%llu} "
-                "loop_us{cpmm_p50=%.1f mixed_p50=%.1f} "
-                "stage_us{validate_p50=%.1f write_p50=%.1f} "
-                "pipeline{depth=%llu lag=%llu wq=%llu} "
-                "rejected=%llu quarantined=%llu/%llu resyncs=%llu "
-                "fallbacks=%llu "
-                "shards=%llu imbalance=%.2f shard_repriced=[%llu..%llu] "
-                "routing{q=%llu direct=%llu wf=%llu flow=%llu fail=%llu "
-                "p50=%.1f p99=%.1f}",
-                static_cast<unsigned long long>(events_ingested),
-                static_cast<unsigned long long>(events_dropped),
-                static_cast<unsigned long long>(events_coalesced),
-                static_cast<unsigned long long>(batches),
-                static_cast<unsigned long long>(loops_repriced),
-                static_cast<unsigned long long>(loops_repriced_cpmm),
-                static_cast<unsigned long long>(loops_repriced_mixed),
-                static_cast<unsigned long long>(loops_repriced_mixed_fast),
-                static_cast<unsigned long long>(loops_repriced_mixed_generic),
-                static_cast<unsigned long long>(queue_depth),
-                static_cast<unsigned long long>(solver_iterations),
-                static_cast<unsigned long long>(warm_hits),
-                static_cast<unsigned long long>(warm_hits + warm_misses),
-                static_cast<unsigned long long>(warm_invalidations),
-                reprice_p50_us, reprice_p90_us, reprice_p99_us,
-                reprice_max_us,
-                static_cast<unsigned long long>(reprice_samples),
-                cpmm_reprice_p50_us, mixed_reprice_p50_us,
-                stage_validate_p50_us, stage_write_p50_us,
-                static_cast<unsigned long long>(pipeline_depth),
-                static_cast<unsigned long long>(epoch_lag),
-                static_cast<unsigned long long>(worker_queue_depth),
-                static_cast<unsigned long long>(events_rejected_total()),
-                static_cast<unsigned long long>(pools_quarantined_now),
-                static_cast<unsigned long long>(pools_quarantined),
-                static_cast<unsigned long long>(resyncs),
-                static_cast<unsigned long long>(solver_fallbacks),
-                static_cast<unsigned long long>(shards), shard_imbalance,
-                static_cast<unsigned long long>(shard_repriced_min()),
-                static_cast<unsigned long long>(shard_repriced_max()),
-                static_cast<unsigned long long>(routing_queries),
-                static_cast<unsigned long long>(routing_direct),
-                static_cast<unsigned long long>(routing_water_filling),
-                static_cast<unsigned long long>(routing_flow_solves),
-                static_cast<unsigned long long>(routing_failures),
-                routing_p50_us, routing_p99_us);
-  return buffer;
-}
-
-std::vector<std::string> MetricsSnapshot::csv_columns() {
-  return {"events_ingested",      "events_dropped",
-          "events_coalesced",     "batches",
-          "loops_repriced",       "queue_depth",
-          "solver_iterations",    "warm_hits",
-          "warm_misses",          "reprice_samples",
-          "reprice_p50_us",       "reprice_p90_us",
-          "reprice_p99_us",       "reprice_max_us",
-          "loops_repriced_cpmm",  "loops_repriced_mixed",
-          "cpmm_reprice_samples", "cpmm_reprice_p50_us",
-          "cpmm_reprice_p99_us",  "cpmm_reprice_max_us",
-          "mixed_reprice_samples", "mixed_reprice_p50_us",
-          "mixed_reprice_p99_us", "mixed_reprice_max_us",
-          // One column per RejectReason, in enum order.
-          "rejected_unknown_pool", "rejected_non_finite",
-          "rejected_non_positive", "rejected_wrong_kind",
-          "rejected_out_of_range", "rejected_stale_sequence",
-          "pools_quarantined",     "pools_quarantined_now",
-          "resyncs",               "solver_fallbacks",
-          // Sharded engine: the per-shard vector is collapsed to its
-          // extremes so the schema stays fixed for any K.
-          "shards",                "shard_imbalance",
-          "shard_repriced_min",    "shard_repriced_max",
-          // Pipelined engine (appended to keep old consumers' column
-          // positions stable).
-          "warm_invalidations",    "worker_queue_depth",
-          "pipeline_depth",        "epoch_lag",
-          "stage_validate_p50_us", "stage_validate_p99_us",
-          "stage_write_p50_us",    "stage_write_p99_us",
-          // Mixed-loop route split (appended — fixed column positions
-          // for existing consumers).
-          "loops_repriced_mixed_fast", "loops_repriced_mixed_generic",
-          // Routing service (appended).
-          "routing_queries",       "routing_direct",
-          "routing_water_filling", "routing_flow_solves",
-          "routing_failures",      "routing_samples",
-          "routing_p50_us",        "routing_p99_us",
-          "routing_max_us"};
-}
-
 MetricsSnapshot RuntimeMetrics::snapshot() const {
   MetricsSnapshot snap;
-  snap.events_ingested = events_ingested_.load(std::memory_order_relaxed);
-  snap.events_dropped = events_dropped_.load(std::memory_order_relaxed);
-  snap.events_coalesced = events_coalesced_.load(std::memory_order_relaxed);
-  snap.batches = batches_.load(std::memory_order_relaxed);
-  snap.loops_repriced = loops_repriced_.load(std::memory_order_relaxed);
-  snap.queue_depth = queue_depth_.load(std::memory_order_relaxed);
-  snap.solver_iterations = solver_iterations_.load(std::memory_order_relaxed);
-  snap.warm_hits = warm_hits_.load(std::memory_order_relaxed);
-  snap.warm_misses = warm_misses_.load(std::memory_order_relaxed);
-  snap.reprice_samples = reprice_latency_.samples();
-  snap.reprice_p50_us = reprice_latency_.quantile(0.50);
-  snap.reprice_p90_us = reprice_latency_.quantile(0.90);
-  snap.reprice_p99_us = reprice_latency_.quantile(0.99);
-  snap.reprice_max_us = reprice_latency_.max_us();
-  snap.loops_repriced_cpmm =
-      loops_repriced_cpmm_.load(std::memory_order_relaxed);
-  snap.loops_repriced_mixed =
-      loops_repriced_mixed_.load(std::memory_order_relaxed);
-  snap.loops_repriced_mixed_fast =
-      loops_repriced_mixed_fast_.load(std::memory_order_relaxed);
-  snap.loops_repriced_mixed_generic =
-      loops_repriced_mixed_generic_.load(std::memory_order_relaxed);
-  snap.cpmm_reprice_samples = cpmm_reprice_latency_.samples();
-  snap.cpmm_reprice_p50_us = cpmm_reprice_latency_.quantile(0.50);
-  snap.cpmm_reprice_p99_us = cpmm_reprice_latency_.quantile(0.99);
-  snap.cpmm_reprice_max_us = cpmm_reprice_latency_.max_us();
-  snap.mixed_reprice_samples = mixed_reprice_latency_.samples();
-  snap.mixed_reprice_p50_us = mixed_reprice_latency_.quantile(0.50);
-  snap.mixed_reprice_p99_us = mixed_reprice_latency_.quantile(0.99);
-  snap.mixed_reprice_max_us = mixed_reprice_latency_.max_us();
-  for (std::size_t r = 0; r < kRejectReasonCount; ++r) {
-    snap.events_rejected[r] =
-        events_rejected_[r].load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    snap.counters[i] = counters_[i].load(std::memory_order_relaxed);
   }
-  snap.pools_quarantined = pools_quarantined_.load(std::memory_order_relaxed);
-  snap.pools_quarantined_now =
-      pools_quarantined_now_.load(std::memory_order_relaxed);
-  snap.resyncs = resyncs_.load(std::memory_order_relaxed);
-  snap.solver_fallbacks = solver_fallbacks_.load(std::memory_order_relaxed);
-  snap.shards = shards_;
-  snap.shard_imbalance = shard_imbalance_;
+  for (std::size_t i = 0; i < kGaugeCount; ++i) {
+    snap.gauges[i] = gauges_[i].load(std::memory_order_relaxed);
+  }
+  for (std::size_t i = 0; i < kLatencyCount; ++i) {
+    snap.latencies[i] = latencies_[i].stats();
+  }
   snap.shard_repriced.reserve(shard_repriced_.size());
   for (const std::atomic<std::uint64_t>& n : shard_repriced_) {
     snap.shard_repriced.push_back(n.load(std::memory_order_relaxed));
   }
-  snap.pipeline_depth = pipeline_depth_;
-  snap.epoch_lag = epoch_lag_.load(std::memory_order_relaxed);
-  snap.warm_invalidations =
-      warm_invalidations_.load(std::memory_order_relaxed);
-  snap.worker_queue_depth =
-      worker_queue_depth_.load(std::memory_order_relaxed);
-  snap.stage_validate_samples = stage_validate_latency_.samples();
-  snap.stage_validate_p50_us = stage_validate_latency_.quantile(0.50);
-  snap.stage_validate_p99_us = stage_validate_latency_.quantile(0.99);
-  snap.stage_write_samples = stage_write_latency_.samples();
-  snap.stage_write_p50_us = stage_write_latency_.quantile(0.50);
-  snap.stage_write_p99_us = stage_write_latency_.quantile(0.99);
-  snap.routing_queries = routing_queries_.load(std::memory_order_relaxed);
-  snap.routing_direct = routing_direct_.load(std::memory_order_relaxed);
-  snap.routing_water_filling =
-      routing_water_filling_.load(std::memory_order_relaxed);
-  snap.routing_flow_solves =
-      routing_flow_solves_.load(std::memory_order_relaxed);
-  snap.routing_failures = routing_failures_.load(std::memory_order_relaxed);
-  snap.routing_samples = routing_latency_.samples();
-  snap.routing_p50_us = routing_latency_.quantile(0.50);
-  snap.routing_p99_us = routing_latency_.quantile(0.99);
-  snap.routing_max_us = routing_latency_.max_us();
   return snap;
 }
 
@@ -271,53 +175,20 @@ Status write_metrics_csv(const std::vector<MetricsSnapshot>& snapshots,
   CsvWriter csv(out);
   csv.header(MetricsSnapshot::csv_columns());
   for (const MetricsSnapshot& s : snapshots) {
-    csv.row(static_cast<std::size_t>(s.events_ingested),
-            static_cast<std::size_t>(s.events_dropped),
-            static_cast<std::size_t>(s.events_coalesced),
-            static_cast<std::size_t>(s.batches),
-            static_cast<std::size_t>(s.loops_repriced),
-            static_cast<std::size_t>(s.queue_depth),
-            static_cast<std::size_t>(s.solver_iterations),
-            static_cast<std::size_t>(s.warm_hits),
-            static_cast<std::size_t>(s.warm_misses),
-            static_cast<std::size_t>(s.reprice_samples), s.reprice_p50_us,
-            s.reprice_p90_us, s.reprice_p99_us, s.reprice_max_us,
-            static_cast<std::size_t>(s.loops_repriced_cpmm),
-            static_cast<std::size_t>(s.loops_repriced_mixed),
-            static_cast<std::size_t>(s.cpmm_reprice_samples),
-            s.cpmm_reprice_p50_us, s.cpmm_reprice_p99_us,
-            s.cpmm_reprice_max_us,
-            static_cast<std::size_t>(s.mixed_reprice_samples),
-            s.mixed_reprice_p50_us, s.mixed_reprice_p99_us,
-            s.mixed_reprice_max_us,
-            static_cast<std::size_t>(s.events_rejected[0]),
-            static_cast<std::size_t>(s.events_rejected[1]),
-            static_cast<std::size_t>(s.events_rejected[2]),
-            static_cast<std::size_t>(s.events_rejected[3]),
-            static_cast<std::size_t>(s.events_rejected[4]),
-            static_cast<std::size_t>(s.events_rejected[5]),
-            static_cast<std::size_t>(s.pools_quarantined),
-            static_cast<std::size_t>(s.pools_quarantined_now),
-            static_cast<std::size_t>(s.resyncs),
-            static_cast<std::size_t>(s.solver_fallbacks),
-            static_cast<std::size_t>(s.shards), s.shard_imbalance,
-            static_cast<std::size_t>(s.shard_repriced_min()),
-            static_cast<std::size_t>(s.shard_repriced_max()),
-            static_cast<std::size_t>(s.warm_invalidations),
-            static_cast<std::size_t>(s.worker_queue_depth),
-            static_cast<std::size_t>(s.pipeline_depth),
-            static_cast<std::size_t>(s.epoch_lag), s.stage_validate_p50_us,
-            s.stage_validate_p99_us, s.stage_write_p50_us,
-            s.stage_write_p99_us,
-            static_cast<std::size_t>(s.loops_repriced_mixed_fast),
-            static_cast<std::size_t>(s.loops_repriced_mixed_generic),
-            static_cast<std::size_t>(s.routing_queries),
-            static_cast<std::size_t>(s.routing_direct),
-            static_cast<std::size_t>(s.routing_water_filling),
-            static_cast<std::size_t>(s.routing_flow_solves),
-            static_cast<std::size_t>(s.routing_failures),
-            static_cast<std::size_t>(s.routing_samples), s.routing_p50_us,
-            s.routing_p99_us, s.routing_max_us);
+    for (const std::uint64_t n : s.counters) {
+      csv.cell(static_cast<std::size_t>(n));
+    }
+    for (const double g : s.gauges) csv.cell(g);
+    // Cells in kLatencyColumns order.
+    for (const LatencyStats& l : s.latencies) {
+      csv.cell(static_cast<std::size_t>(l.samples))
+          .cell(l.p50_us)
+          .cell(l.p90_us)
+          .cell(l.p99_us)
+          .cell(l.max_us);
+    }
+    csv.row(static_cast<std::size_t>(s.shard_repriced_min()),
+            static_cast<std::size_t>(s.shard_repriced_max()));
   }
   return Status::success();
 }

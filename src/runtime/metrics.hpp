@@ -1,10 +1,11 @@
 #pragma once
 
 /// \file metrics.hpp
-/// Built-in observability for the scanner service: lock-free counters, a
-/// log-bucketed latency histogram, and a periodic snapshot struct that
-/// serializes to CSV. Everything is safe to read from any thread while
-/// the service is running.
+/// Built-in observability for the scanner service. Every metric is one
+/// row of the registry below (name, kind, one-line meaning); the live
+/// atomics, the snapshot, summary(), csv_columns() and the CSV writer are
+/// loops over those rows, so adding a metric is a one-line change.
+/// Everything is safe to read from any thread while the service runs.
 
 #include <array>
 #include <atomic>
@@ -17,22 +18,118 @@
 
 namespace arb::runtime {
 
-/// Histogram over positive latencies with power-of-two bucket bounds:
-/// bucket b counts samples in [2^b, 2^{b+1}) microseconds (bucket 0 also
-/// absorbs sub-microsecond samples). Quantiles interpolate linearly
-/// inside the containing bucket, so they are estimates with bounded
-/// relative error (a factor of 2 worst case), which is plenty to tell a
-/// 50 µs re-price from a 5 ms one.
+/// Monotone counters: X(name, meaning). The rejected_* rows are one per
+/// RejectReason, contiguous and in enum order (see rejected_counter).
+#define ARB_RUNTIME_COUNTERS(X)                                               \
+  X(events_ingested, "events accepted into the ingress queue")                \
+  X(events_dropped, "events rejected or evicted by backpressure")             \
+  X(events_coalesced, "events superseded by a later one in their batch")      \
+  X(batches, "epochs repriced and harvested")                                 \
+  X(loops_repriced, "dirty cycles visited: cpmm + mixed + gated")             \
+  X(loops_repriced_cpmm, "all-CPMM cycles that reached the solver ladder")    \
+  X(loops_repriced_mixed, "non-CPMM-crossing cycles that reached the ladder") \
+  X(loops_repriced_mixed_fast, "mixed solves on the analytic barrier path")   \
+  X(loops_repriced_mixed_generic, "mixed solves on the generic solver")       \
+  X(loops_gated, "dirty cycles the price-product gate rejected")              \
+  X(solver_iterations, "Newton iterations across barrier solves")             \
+  X(warm_hits, "barrier solves resumed from the cycle's last optimum")        \
+  X(warm_misses, "barrier solves that started cold")                          \
+  X(warm_invalidations, "warm slots that went valid -> invalid")              \
+  X(solver_fallbacks, "barrier solves rescued by the generic solver")         \
+  X(rejected_unknown_pool, "events rejected: pool id beyond the market")      \
+  X(rejected_non_finite, "events rejected: NaN or infinite payload")          \
+  X(rejected_non_positive, "events rejected: zero or negative payload")       \
+  X(rejected_wrong_kind, "events rejected: payload kind != pool kind")        \
+  X(rejected_out_of_range, "events rejected: price outside the position")     \
+  X(rejected_stale_sequence, "events rejected: sequence not newer")           \
+  X(pools_quarantined, "quarantine entries (cumulative)")                     \
+  X(resyncs, "quarantine releases, each repricing the pool's cycles")         \
+  X(routing_queries, "best-execution queries answered")                       \
+  X(routing_direct, "routes solved by direct chain evaluation")               \
+  X(routing_water_filling, "routes solved by water-filling bisection")        \
+  X(routing_flow_solves, "routes solved by the flow-form barrier program")    \
+  X(routing_failures, "route queries that returned an error")
+
+/// Point-in-time values: X(name, value before the first set, meaning).
+#define ARB_RUNTIME_GAUGES(X)                                                 \
+  X(queue_depth, 0, "events waiting in the ingress queue")                    \
+  X(pools_quarantined_now, 0, "pools in quarantine")                          \
+  X(shards, 1, "shard count, fixed at start")                                 \
+  X(shard_imbalance, 0, "max/mean pool fan-out of the shard plan")            \
+  X(pipeline_depth, 1, "pipeline depth, fixed at start")                      \
+  X(epoch_lag, 0, "epochs staged or in flight behind the committed front")    \
+  X(worker_queue_depth, 0, "worker-pool tasks waiting")
+
+/// Latency histograms in µs: X(name, meaning). Each exports the columns
+/// <name>_samples, _p50_us, _p90_us, _p99_us and _max_us.
+#define ARB_RUNTIME_LATENCIES(X)                                              \
+  X(reprice, "epoch reprice, launch to harvest")                              \
+  X(cpmm_reprice, "per-loop all-CPMM solve, one batch mean per epoch")        \
+  X(mixed_reprice, "per-loop mixed solve, one batch mean per epoch")          \
+  X(stage_validate, "validation stage, per batch")                            \
+  X(stage_write, "epoch write (begin_epoch), per batch")                      \
+  X(routing, "best-execution query, end to end")
+
+#define ARB_METRIC_ENUM(name, ...) name,
+#define ARB_METRIC_NAME(name, ...) #name,
+#define ARB_GAUGE_INIT(name, init, meaning) init,
+enum class Counter : std::size_t { ARB_RUNTIME_COUNTERS(ARB_METRIC_ENUM) };
+enum class Gauge : std::size_t { ARB_RUNTIME_GAUGES(ARB_METRIC_ENUM) };
+enum class Latency : std::size_t { ARB_RUNTIME_LATENCIES(ARB_METRIC_ENUM) };
+inline constexpr std::array kCounterNames = {
+    ARB_RUNTIME_COUNTERS(ARB_METRIC_NAME)};
+inline constexpr std::array kGaugeNames = {ARB_RUNTIME_GAUGES(ARB_METRIC_NAME)};
+inline constexpr std::array kLatencyNames = {
+    ARB_RUNTIME_LATENCIES(ARB_METRIC_NAME)};
+inline constexpr std::size_t kCounterCount = kCounterNames.size();
+inline constexpr std::size_t kGaugeCount = kGaugeNames.size();
+inline constexpr std::size_t kLatencyCount = kLatencyNames.size();
+
+template <typename Row>
+constexpr std::size_t row_index(Row row) {
+  return static_cast<std::size_t>(row);
+}
+
+/// The rejected_* counter of one RejectReason.
+constexpr Counter rejected_counter(RejectReason reason) {
+  return static_cast<Counter>(row_index(Counter::rejected_unknown_pool) +
+                              static_cast<std::size_t>(reason));
+}
+static_assert(rejected_counter(RejectReason::kStaleSequence) ==
+              Counter::rejected_stale_sequence);
+
+/// What one latency histogram exports.
+struct LatencyStats {
+  std::uint64_t samples = 0;
+  double p50_us = 0.0;
+  double p90_us = 0.0;
+  double p99_us = 0.0;
+  double max_us = 0.0;
+};
+
+/// Histogram over non-negative latencies, log-linear: each power of two
+/// [2^e, 2^{e+1}) µs is split into 8 equal sub-buckets, and one bucket
+/// holds all sub-microsecond samples. Quantiles interpolate linearly
+/// inside the containing bucket, so for samples >= 1 µs they are within
+/// 12.5% of the true value. Recording is lock-free.
 class LatencyHistogram {
  public:
-  static constexpr std::size_t kBuckets = 40;
+  static constexpr std::size_t kOctaves = 40;
+  static constexpr std::size_t kSubBuckets = 8;
+  static constexpr std::size_t kBuckets = 1 + kOctaves * kSubBuckets;
 
   void record(double microseconds);
 
-  [[nodiscard]] std::uint64_t samples() const;
+  [[nodiscard]] std::uint64_t samples() const {
+    return total_.load(std::memory_order_relaxed);
+  }
   /// q in [0, 1]. Returns 0 with no samples.
   [[nodiscard]] double quantile(double q) const;
   [[nodiscard]] double max_us() const;
+  [[nodiscard]] LatencyStats stats() const {
+    return {samples(), quantile(0.50), quantile(0.90), quantile(0.99),
+            max_us()};
+  }
 
  private:
   std::array<std::atomic<std::uint64_t>, kBuckets> counts_{};
@@ -40,147 +137,42 @@ class LatencyHistogram {
   std::atomic<std::uint64_t> max_us_bits_{0};  ///< bit_cast'ed double
 };
 
-/// Point-in-time copy of every metric the runtime exports.
+/// Point-in-time copy of every registry row, indexed by its enum.
 struct MetricsSnapshot {
-  std::uint64_t events_ingested = 0;   ///< accepted into the queue
-  std::uint64_t events_dropped = 0;    ///< rejected/evicted by backpressure
-  std::uint64_t events_coalesced = 0;  ///< superseded inside a batch
-  std::uint64_t batches = 0;           ///< apply() rounds executed
-  std::uint64_t loops_repriced = 0;    ///< dirty cycles re-optimized
-  std::uint64_t queue_depth = 0;       ///< events waiting at snapshot time
-  std::uint64_t solver_iterations = 0; ///< Newton iterations (convex only)
-  std::uint64_t warm_hits = 0;         ///< warm-started barrier solves
-  std::uint64_t warm_misses = 0;       ///< cold-started barrier solves
-  std::uint64_t reprice_samples = 0;   ///< latency histogram sample count
-  double reprice_p50_us = 0.0;
-  double reprice_p90_us = 0.0;
-  double reprice_p99_us = 0.0;
-  double reprice_max_us = 0.0;
-
-  /// Per-kind split of loops_repriced: all-CPMM loops vs. loops crossing
-  /// at least one StableSwap/concentrated pool.
-  std::uint64_t loops_repriced_cpmm = 0;
-  std::uint64_t loops_repriced_mixed = 0;
-  /// Route split of the mixed solves that survived the price gate
-  /// (Convex strategy): analytic-kernel barrier fast path vs. the
-  /// derivative-free generic solver (fast-path off, tick-crossing caps,
-  /// degenerate hop state, or rescue). fast + generic ≤ repriced mixed —
-  /// gate-rejected mixed cycles count in neither.
-  std::uint64_t loops_repriced_mixed_fast = 0;
-  std::uint64_t loops_repriced_mixed_generic = 0;
-  /// Per-loop repricing latency by kind, sampled once per batch as that
-  /// batch's mean (total kind wall time / loops of that kind). Zero when
-  /// the market has no loops of that kind.
-  std::uint64_t cpmm_reprice_samples = 0;
-  double cpmm_reprice_p50_us = 0.0;
-  double cpmm_reprice_p99_us = 0.0;
-  double cpmm_reprice_max_us = 0.0;
-  std::uint64_t mixed_reprice_samples = 0;
-  double mixed_reprice_p50_us = 0.0;
-  double mixed_reprice_p99_us = 0.0;
-  double mixed_reprice_max_us = 0.0;
-
-  /// Validation / fault-containment counters (DESIGN.md §10). Rejected
-  /// events are split by RejectReason, indexed by its enum value.
-  std::array<std::uint64_t, kRejectReasonCount> events_rejected{};
-  std::uint64_t pools_quarantined = 0;      ///< quarantine entries (cumulative)
-  std::uint64_t pools_quarantined_now = 0;  ///< in quarantine at snapshot time
-  std::uint64_t resyncs = 0;                ///< quarantine releases (repricings)
-  /// Barrier solves rescued by the generic derivative-free fallback (the
-  /// last rung of the solver containment ladder before a typed error).
-  std::uint64_t solver_fallbacks = 0;
-
-  /// Sharded-engine observability (DESIGN.md §11). `shards` and
-  /// `shard_imbalance` (max/mean pool fan-out over the ShardPlan, 1.0 =
-  /// perfect split) are fixed at service start; `shard_repriced` is the
-  /// cumulative per-shard share of loops_repriced. The CSV keeps a fixed
-  /// schema by exporting only the min/max of the per-shard counters; the
-  /// full vector is available here and in summary().
-  std::uint64_t shards = 1;
-  double shard_imbalance = 0.0;
+  std::array<std::uint64_t, kCounterCount> counters{};
+  std::array<double, kGaugeCount> gauges{ARB_RUNTIME_GAUGES(ARB_GAUGE_INIT)};
+  std::array<LatencyStats, kLatencyCount> latencies{};
+  /// Cumulative per-shard share of loops_repriced (one entry per shard):
+  /// the one variable-length family. The CSV keeps a fixed schema by
+  /// exporting only its min and max; the full vector is available here.
   std::vector<std::uint64_t> shard_repriced;
 
-  /// Pipelined-engine observability (DESIGN.md §12). `pipeline_depth` is
-  /// fixed at service start; `epoch_lag` is the number of epochs staged
-  /// or in flight behind the committed front at snapshot time (0 =
-  /// fully settled); the stage histograms time the validate and
-  /// write(begin_epoch) stages per batch, complementing the existing
-  /// reprice histogram which times launch→harvest.
-  std::uint64_t pipeline_depth = 1;
-  std::uint64_t epoch_lag = 0;
-  std::uint64_t stage_validate_samples = 0;
-  double stage_validate_p50_us = 0.0;
-  double stage_validate_p99_us = 0.0;
-  std::uint64_t stage_write_samples = 0;
-  double stage_write_p50_us = 0.0;
-  double stage_write_p99_us = 0.0;
-  /// Warm slots that went valid → invalid (quarantine entries plus
-  /// solver-side invalidations); profitless gate visits no longer count.
-  std::uint64_t warm_invalidations = 0;
-  /// WorkerPool task-queue depth at snapshot time.
-  std::uint64_t worker_queue_depth = 0;
-
-  /// Routing-service observability: best-execution queries answered
-  /// against committed snapshots, split by solve method (direct chain
-  /// evaluation / water-filling bisection / flow-form barrier program),
-  /// plus end-to-end query latency.
-  std::uint64_t routing_queries = 0;
-  std::uint64_t routing_direct = 0;
-  std::uint64_t routing_water_filling = 0;
-  std::uint64_t routing_flow_solves = 0;
-  std::uint64_t routing_failures = 0;
-  std::uint64_t routing_samples = 0;
-  double routing_p50_us = 0.0;
-  double routing_p99_us = 0.0;
-  double routing_max_us = 0.0;
+  std::uint64_t operator[](Counter c) const { return counters[row_index(c)]; }
+  double& operator[](Gauge g) { return gauges[row_index(g)]; }
+  double operator[](Gauge g) const { return gauges[row_index(g)]; }
+  const LatencyStats& operator[](Latency l) const {
+    return latencies[row_index(l)];
+  }
 
   [[nodiscard]] std::uint64_t shard_repriced_min() const;
   [[nodiscard]] std::uint64_t shard_repriced_max() const;
   [[nodiscard]] std::uint64_t events_rejected_total() const;
 
-  /// One-line human-readable rendering.
+  /// One-line human-readable rendering: name=value per registry row.
   [[nodiscard]] std::string summary() const;
 
-  /// CSV column names, matching append_csv_row's cell order.
+  /// CSV column names, matching write_metrics_csv's cell order.
   [[nodiscard]] static std::vector<std::string> csv_columns();
 };
 
-/// The live, thread-shared metric registry.
+/// The live, thread-shared registry storage.
 class RuntimeMetrics {
  public:
-  void add_ingested(std::uint64_t n) { events_ingested_ += n; }
-  void add_dropped(std::uint64_t n) { events_dropped_ += n; }
-  void add_coalesced(std::uint64_t n) { events_coalesced_ += n; }
-  void add_batch() { ++batches_; }
-  void add_repriced(std::uint64_t n) { loops_repriced_ += n; }
-  void add_solver_iterations(std::uint64_t n) { solver_iterations_ += n; }
-  void add_warm_hits(std::uint64_t n) { warm_hits_ += n; }
-  void add_warm_misses(std::uint64_t n) { warm_misses_ += n; }
-  void set_queue_depth(std::uint64_t depth) { queue_depth_ = depth; }
-  void record_reprice_latency(double microseconds) {
-    reprice_latency_.record(microseconds);
+  void add(Counter c, std::uint64_t n = 1) { counters_[row_index(c)] += n; }
+  void set(Gauge g, double value) { gauges_[row_index(g)] = value; }
+  void record(Latency l, double microseconds) {
+    latencies_[row_index(l)].record(microseconds);
   }
-  void add_repriced_cpmm(std::uint64_t n) { loops_repriced_cpmm_ += n; }
-  void add_repriced_mixed(std::uint64_t n) { loops_repriced_mixed_ += n; }
-  void add_repriced_mixed_fast(std::uint64_t n) {
-    loops_repriced_mixed_fast_ += n;
-  }
-  void add_repriced_mixed_generic(std::uint64_t n) {
-    loops_repriced_mixed_generic_ += n;
-  }
-  void record_cpmm_reprice_latency(double microseconds) {
-    cpmm_reprice_latency_.record(microseconds);
-  }
-  void record_mixed_reprice_latency(double microseconds) {
-    mixed_reprice_latency_.record(microseconds);
-  }
-  void add_rejected(RejectReason reason) {
-    ++events_rejected_[static_cast<std::size_t>(reason)];
-  }
-  void add_quarantine_entered() { ++pools_quarantined_; }
-  void set_quarantined_now(std::uint64_t n) { pools_quarantined_now_ = n; }
-  void add_resync() { ++resyncs_; }
-  void add_solver_fallbacks(std::uint64_t n) { solver_fallbacks_ += n; }
 
   /// Sizes the per-shard counters and records the plan's static gauges.
   /// Must be called before the consumer thread starts (the vector of
@@ -190,70 +182,18 @@ class RuntimeMetrics {
     shard_repriced_[shard] += n;
   }
 
-  /// Fixed at service start, like set_shard_plan.
-  void set_pipeline_depth(std::uint64_t depth) { pipeline_depth_ = depth; }
-  void set_epoch_lag(std::uint64_t lag) { epoch_lag_ = lag; }
-  void add_warm_invalidations(std::uint64_t n) { warm_invalidations_ += n; }
-  void set_worker_queue_depth(std::uint64_t depth) {
-    worker_queue_depth_ = depth;
-  }
-  void record_validate_latency(double microseconds) {
-    stage_validate_latency_.record(microseconds);
-  }
-  void record_write_latency(double microseconds) {
-    stage_write_latency_.record(microseconds);
-  }
-
-  void add_routing_query() { ++routing_queries_; }
-  void add_routing_direct() { ++routing_direct_; }
-  void add_routing_water_filling() { ++routing_water_filling_; }
-  void add_routing_flow_solve() { ++routing_flow_solves_; }
-  void add_routing_failure() { ++routing_failures_; }
-  void record_routing_latency(double microseconds) {
-    routing_latency_.record(microseconds);
-  }
-
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
  private:
-  std::atomic<std::uint64_t> events_ingested_{0};
-  std::atomic<std::uint64_t> events_dropped_{0};
-  std::atomic<std::uint64_t> events_coalesced_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> loops_repriced_{0};
-  std::atomic<std::uint64_t> queue_depth_{0};
-  std::atomic<std::uint64_t> solver_iterations_{0};
-  std::atomic<std::uint64_t> warm_hits_{0};
-  std::atomic<std::uint64_t> warm_misses_{0};
-  std::atomic<std::uint64_t> loops_repriced_cpmm_{0};
-  std::atomic<std::uint64_t> loops_repriced_mixed_{0};
-  std::atomic<std::uint64_t> loops_repriced_mixed_fast_{0};
-  std::atomic<std::uint64_t> loops_repriced_mixed_generic_{0};
-  std::array<std::atomic<std::uint64_t>, kRejectReasonCount>
-      events_rejected_{};
-  std::atomic<std::uint64_t> pools_quarantined_{0};
-  std::atomic<std::uint64_t> pools_quarantined_now_{0};
-  std::atomic<std::uint64_t> resyncs_{0};
-  std::atomic<std::uint64_t> solver_fallbacks_{0};
-  std::uint64_t shards_ = 1;
-  double shard_imbalance_ = 0.0;
+  std::array<std::atomic<std::uint64_t>, kCounterCount> counters_{};
+  std::array<std::atomic<double>, kGaugeCount> gauges_{
+      ARB_RUNTIME_GAUGES(ARB_GAUGE_INIT)};
+  std::array<LatencyHistogram, kLatencyCount> latencies_;
   std::vector<std::atomic<std::uint64_t>> shard_repriced_;
-  std::uint64_t pipeline_depth_ = 1;
-  std::atomic<std::uint64_t> epoch_lag_{0};
-  std::atomic<std::uint64_t> warm_invalidations_{0};
-  std::atomic<std::uint64_t> worker_queue_depth_{0};
-  std::atomic<std::uint64_t> routing_queries_{0};
-  std::atomic<std::uint64_t> routing_direct_{0};
-  std::atomic<std::uint64_t> routing_water_filling_{0};
-  std::atomic<std::uint64_t> routing_flow_solves_{0};
-  std::atomic<std::uint64_t> routing_failures_{0};
-  LatencyHistogram routing_latency_;
-  LatencyHistogram reprice_latency_;
-  LatencyHistogram cpmm_reprice_latency_;
-  LatencyHistogram mixed_reprice_latency_;
-  LatencyHistogram stage_validate_latency_;
-  LatencyHistogram stage_write_latency_;
 };
+#undef ARB_METRIC_ENUM
+#undef ARB_METRIC_NAME
+#undef ARB_GAUGE_INIT
 
 /// Writes snapshots as CSV (header + one row per snapshot).
 [[nodiscard]] Status write_metrics_csv(

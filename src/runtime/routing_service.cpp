@@ -7,7 +7,7 @@ namespace arb::runtime {
 Result<core::RouteResult> RoutingService::best_execution(
     const core::RouteQuery& query) {
   RuntimeMetrics& metrics = service_.metrics_registry();
-  metrics.add_routing_query();
+  metrics.add(Counter::routing_queries);
 
   const auto start = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(mutex_);
@@ -16,22 +16,22 @@ Result<core::RouteResult> RoutingService::best_execution(
         return core::route(snapshot.graph, query, ctx_);
       });
   const auto elapsed = std::chrono::steady_clock::now() - start;
-  metrics.record_routing_latency(
-      std::chrono::duration<double, std::micro>(elapsed).count());
+  metrics.record(Latency::routing,
+                 std::chrono::duration<double, std::micro>(elapsed).count());
 
   if (!result) {
-    metrics.add_routing_failure();
+    metrics.add(Counter::routing_failures);
     return result;
   }
   switch (result->method) {
     case core::RouteMethod::kDirect:
-      metrics.add_routing_direct();
+      metrics.add(Counter::routing_direct);
       break;
     case core::RouteMethod::kWaterFilling:
-      metrics.add_routing_water_filling();
+      metrics.add(Counter::routing_water_filling);
       break;
     case core::RouteMethod::kFlowSolve:
-      metrics.add_routing_flow_solve();
+      metrics.add(Counter::routing_flow_solves);
       break;
   }
   return result;

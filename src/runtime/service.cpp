@@ -45,20 +45,18 @@ Result<std::unique_ptr<ScannerService>> ScannerService::start(
       std::make_unique<IncrementalScanner>(std::move(scanner).value());
   service->metrics_.set_shard_plan(service->scanner_->shard_count(),
                                    service->scanner_->plan().imbalance());
-  service->metrics_.set_pipeline_depth(config.pipeline_depth);
-  // Ingress routing: one queue per shard, each pool pinned to its owner
-  // shard's queue so per-pool arrival order is trivially preserved.
-  const std::size_t pools = service->scanner_->view().pool_count();
-  service->ingress_owner_.resize(pools);
-  for (std::size_t p = 0; p < pools; ++p) {
-    service->ingress_owner_[p] = service->scanner_->plan().owner_of_pool(
-        PoolId(static_cast<PoolId::underlying_type>(p)));
-  }
-  service->shard_queues_.resize(config.shards);
+  service->metrics_.set(Gauge::pipeline_depth, config.pipeline_depth);
   if (config.validate) {
+    // Each pool's validator state lives in its owner shard.
+    const std::size_t pools = service->scanner_->view().pool_count();
+    std::vector<std::uint32_t> owners(pools);
+    for (std::size_t p = 0; p < pools; ++p) {
+      owners[p] = service->scanner_->plan().owner_of_pool(
+          PoolId(static_cast<PoolId::underlying_type>(p)));
+    }
     service->validator_ = std::make_unique<ShardedValidator>(
-        service->scanner_->view(), config.validation,
-        service->ingress_owner_, config.shards);
+        service->scanner_->view(), config.validation, std::move(owners),
+        config.shards);
   }
   service->consumer_ = std::thread([raw = service.get()] { raw->run(); });
   return service;
@@ -72,79 +70,44 @@ bool ScannerService::publish(const PoolUpdateEvent& event) {
     std::unique_lock lock(queue_mutex_);
     if (config_.backpressure == BackpressurePolicy::kBlock) {
       queue_not_full_.wait(lock, [this] {
-        return stopping_ || total_queued_ < config_.queue_capacity;
+        return stopping_ || queue_.size() < config_.queue_capacity;
       });
     }
     if (stopping_) return false;
-    if (total_queued_ >= config_.queue_capacity) {
+    if (queue_.size() >= config_.queue_capacity) {
       switch (config_.backpressure) {
         case BackpressurePolicy::kBlock:
           return false;  // unreachable: the wait above guarantees space
         case BackpressurePolicy::kDropNewest:
-          metrics_.add_dropped(1);
+          metrics_.add(Counter::events_dropped);
           return false;
         case BackpressurePolicy::kDropOldest:
-          evict_oldest_locked();
+          queue_.pop_front();
           dropped_oldest = true;
           break;
       }
     }
-    const std::size_t owner = event.pool.value() < ingress_owner_.size()
-                                  ? ingress_owner_[event.pool.value()]
-                                  : 0;
-    shard_queues_[owner].push_back(Ticketed{event, next_ticket_++});
-    ++total_queued_;
-    metrics_.set_queue_depth(total_queued_);
+    queue_.push_back(event);
+    metrics_.set(Gauge::queue_depth, queue_.size());
   }
-  metrics_.add_ingested(1);
-  if (dropped_oldest) metrics_.add_dropped(1);
+  metrics_.add(Counter::events_ingested);
+  if (dropped_oldest) metrics_.add(Counter::events_dropped);
   queue_not_empty_.notify_one();
   return true;
 }
 
 void ScannerService::take_batch_locked(std::vector<PoolUpdateEvent>& out) {
-  out.clear();
-  const std::size_t take = std::min(config_.max_batch, total_queued_);
-  // K-way merge by ticket: the batch has exactly the composition a single
-  // FIFO queue would have produced, so batching (and therefore every
-  // downstream result) is independent of the shard count.
-  for (std::size_t i = 0; i < take; ++i) {
-    std::size_t best = shard_queues_.size();
-    std::uint64_t best_ticket = 0;
-    for (std::size_t s = 0; s < shard_queues_.size(); ++s) {
-      if (shard_queues_[s].empty()) continue;
-      if (best == shard_queues_.size() ||
-          shard_queues_[s].front().ticket < best_ticket) {
-        best = s;
-        best_ticket = shard_queues_[s].front().ticket;
-      }
-    }
-    out.push_back(shard_queues_[best].front().event);
-    shard_queues_[best].pop_front();
-  }
-  total_queued_ -= take;
-  metrics_.set_queue_depth(total_queued_);
-}
-
-void ScannerService::evict_oldest_locked() {
-  std::size_t best = shard_queues_.size();
-  std::uint64_t best_ticket = 0;
-  for (std::size_t s = 0; s < shard_queues_.size(); ++s) {
-    if (shard_queues_[s].empty()) continue;
-    if (best == shard_queues_.size() ||
-        shard_queues_[s].front().ticket < best_ticket) {
-      best = s;
-      best_ticket = shard_queues_[s].front().ticket;
-    }
-  }
-  shard_queues_[best].pop_front();
-  --total_queued_;
+  const auto take = static_cast<std::ptrdiff_t>(
+      std::min(config_.max_batch, queue_.size()));
+  out.assign(queue_.begin(), queue_.begin() + take);
+  queue_.erase(queue_.begin(), queue_.begin() + take);
+  metrics_.set(Gauge::queue_depth, queue_.size());
 }
 
 void ScannerService::drain() {
   std::unique_lock lock(queue_mutex_);
   queue_drained_.wait(lock, [this] {
-    return failed_ || (total_queued_ == 0 && !applying_);
+    return failed_ || (queue_.empty() && !applying_);
   });
 }
 
@@ -168,7 +131,7 @@ MetricsSnapshot ScannerService::metrics() const {
   MetricsSnapshot snap = metrics_.snapshot();
   // The task-queue gauge is cheap to read live; everything else in the
   // snapshot is already monotonic counters.
-  snap.worker_queue_depth = workers_.queue_depth();
+  snap[Gauge::worker_queue_depth] = workers_.queue_depth();
   return snap;
 }
 
@@ -231,22 +194,22 @@ void ScannerService::run() {
       const EventVerdict verdict = validator_->check(event);
       if (verdict.entered_quarantine) {
         p.transitions.push_back({event.pool, true});
-        metrics_.add_quarantine_entered();
+        metrics_.add(Counter::pools_quarantined);
       }
       if (verdict.released_quarantine) {
         // The releasing event rides in the surviving batch, dirtying
         // exactly this pool's cycles — the full-repricing resync.
         p.transitions.push_back({event.pool, false});
-        metrics_.add_resync();
+        metrics_.add(Counter::resyncs);
       }
       if (!verdict.accepted) {
-        metrics_.add_rejected(verdict.reason);
+        metrics_.add(rejected_counter(verdict.reason));
         continue;
       }
       p.filtered.push_back(event);
     }
-    metrics_.set_quarantined_now(validator_->quarantined_count());
-    metrics_.record_validate_latency(micros_between(t0, Clock::now()));
+    metrics_.set(Gauge::pools_quarantined_now, validator_->quarantined_count());
+    metrics_.record(Latency::stage_validate, micros_between(t0, Clock::now()));
   };
 
   // Harvest stage (requires slock): joins the in-flight lanes and folds
@@ -262,33 +225,40 @@ void ScannerService::run() {
       status_ = report.error();
       return false;
     }
-    metrics_.add_batch();
-    metrics_.add_coalesced(report->events - report->unique_pools);
-    metrics_.add_repriced(report->repriced);
-    metrics_.add_solver_iterations(report->solver_iterations);
-    metrics_.add_solver_fallbacks(report->solver_fallbacks);
-    metrics_.add_warm_hits(report->warm_hits);
-    metrics_.add_warm_misses(report->warm_misses);
-    metrics_.add_warm_invalidations(report->warm_invalidations);
-    metrics_.record_reprice_latency(micros);
-    metrics_.add_repriced_cpmm(report->repriced_cpmm);
-    metrics_.add_repriced_mixed(report->repriced_mixed);
-    metrics_.add_repriced_mixed_fast(report->repriced_mixed_fast);
-    metrics_.add_repriced_mixed_generic(report->repriced_mixed_generic);
+    metrics_.add(Counter::batches);
+    metrics_.add(Counter::events_coalesced,
+                 report->events - report->unique_pools);
+    metrics_.add(Counter::loops_repriced, report->repriced);
+    metrics_.add(Counter::loops_repriced_cpmm, report->repriced_cpmm);
+    metrics_.add(Counter::loops_repriced_mixed, report->repriced_mixed);
+    metrics_.add(Counter::loops_repriced_mixed_fast,
+                 report->repriced_mixed_fast);
+    metrics_.add(Counter::loops_repriced_mixed_generic,
+                 report->repriced_mixed_generic);
+    metrics_.add(Counter::loops_gated, report->gated);
+    metrics_.add(Counter::solver_iterations, report->solver_iterations);
+    metrics_.add(Counter::solver_fallbacks, report->solver_fallbacks);
+    metrics_.add(Counter::warm_hits, report->warm_hits);
+    metrics_.add(Counter::warm_misses, report->warm_misses);
+    metrics_.add(Counter::warm_invalidations, report->warm_invalidations);
+    metrics_.record(Latency::reprice, micros);
     for (std::size_t s = 0; s < report->shard_repriced.size(); ++s) {
       metrics_.add_shard_repriced(s, report->shard_repriced[s]);
     }
-    // Per-kind per-loop latency, one sample per batch (the batch mean).
+    // Per-kind per-loop solve latency, one sample per batch (the batch
+    // mean over the loops that reached the solver ladder; gate rejects
+    // are neither timed nor counted here).
     if (report->repriced_cpmm > 0) {
-      metrics_.record_cpmm_reprice_latency(
-          report->reprice_cpmm_us / static_cast<double>(report->repriced_cpmm));
+      metrics_.record(Latency::cpmm_reprice,
+                      report->reprice_cpmm_us /
+                          static_cast<double>(report->repriced_cpmm));
     }
     if (report->repriced_mixed > 0) {
-      metrics_.record_mixed_reprice_latency(
-          report->reprice_mixed_us /
-          static_cast<double>(report->repriced_mixed));
+      metrics_.record(Latency::mixed_reprice,
+                      report->reprice_mixed_us /
+                          static_cast<double>(report->repriced_mixed));
     }
-    metrics_.set_worker_queue_depth(workers_.queue_depth());
+    metrics_.set(Gauge::worker_queue_depth, workers_.queue_depth());
     return true;
   };
 
@@ -319,7 +289,7 @@ void ScannerService::run() {
     }
     while (!have) {
       std::unique_lock qlock(queue_mutex_);
-      if (total_queued_ == 0) {
+      if (queue_.empty()) {
         if (slock.owns_lock()) {
           // Pipeline still busy with nothing left to feed it: settle —
           // harvest the in-flight epoch, then go quiescent.
@@ -328,20 +298,20 @@ void ScannerService::run() {
             fail();
             return;
           }
-          metrics_.set_epoch_lag(0);
+          metrics_.set(Gauge::epoch_lag, 0);
           slock.unlock();
           qlock.lock();
           applying_ = false;
-          if (total_queued_ == 0) queue_drained_.notify_all();
-          if (total_queued_ == 0 && !stopping_) {
+          if (queue_.empty()) queue_drained_.notify_all();
+          if (queue_.empty() && !stopping_) {
             queue_not_empty_.wait(
-                qlock, [this] { return stopping_ || total_queued_ > 0; });
+                qlock, [this] { return stopping_ || !queue_.empty(); });
           }
-          if (total_queued_ == 0) return;  // stopping and fully drained
+          if (queue_.empty()) return;  // stopping and fully drained
         } else {
           queue_not_empty_.wait(
-              qlock, [this] { return stopping_ || total_queued_ > 0; });
-          if (total_queued_ == 0) return;  // stopping and fully drained
+              qlock, [this] { return stopping_ || !queue_.empty(); });
+          if (queue_.empty()) return;  // stopping and fully drained
         }
       }
       take_batch_locked(current.batch);
@@ -363,7 +333,7 @@ void ScannerService::run() {
         validator_ != nullptr ? current.filtered : current.batch;
     const auto w0 = Clock::now();
     const Status written = scanner_->begin_epoch(writes);
-    metrics_.record_write_latency(micros_between(w0, Clock::now()));
+    metrics_.record(Latency::stage_write, micros_between(w0, Clock::now()));
 
     // Harvest epoch N before the barrier.
     if (inflight && !harvest()) {
@@ -405,7 +375,7 @@ void ScannerService::run() {
         }
         {
           std::unique_lock qlock(queue_mutex_);
-          if (total_queued_ == 0) {
+          if (queue_.empty()) {
             qlock.unlock();
             spare.push_back(std::move(next));
             break;
@@ -417,7 +387,7 @@ void ScannerService::run() {
         prepared.push_back(std::move(next));
       }
     }
-    metrics_.set_epoch_lag((inflight ? 1 : 0) + prepared.size());
+    metrics_.set(Gauge::epoch_lag, (inflight ? 1 : 0) + prepared.size());
     spare.push_back(std::move(current));
   }
 }

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file service.hpp
-/// The event-driven scanner service: sharded ingress queues feeding one
+/// The event-driven scanner service: one ingress FIFO feeding one
 /// consumer thread that batches/coalesces bursts and drives the
 /// incremental scanner's staged epochs as an overlapped pipeline
 /// (DESIGN.md §12) — validating and writing epoch N+1 into the back
@@ -18,7 +18,6 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -47,9 +46,8 @@ struct ServiceConfig {
   core::ScannerConfig scanner;
   std::size_t worker_threads = 4;
   /// Shards the cycle universe is partitioned into (DESIGN.md §11).
-  /// Ingress queues and validator state shard with it; the published
-  /// ranked set is bit-identical for any value. 1 = the classic
-  /// single-shard engine.
+  /// Validator state shards with it; the published ranked set is
+  /// bit-identical for any value. 1 = the classic single-shard engine.
   std::size_t shards = 1;
   std::size_t queue_capacity = 4096;
   /// Events drained per epoch; bursts beyond this are split across
@@ -83,9 +81,9 @@ class ScannerService {
   ScannerService(const ScannerService&) = delete;
   ScannerService& operator=(const ScannerService&) = delete;
 
-  /// Publishes one event into its owner shard's ingress queue. Returns
-  /// false when the event was not accepted (kDropNewest with a full
-  /// queue, or the service is stopping).
+  /// Publishes one event into the ingress queue. Returns false when the
+  /// event was not accepted (kDropNewest with a full queue, or the
+  /// service is stopping).
   bool publish(const PoolUpdateEvent& event);
 
   /// Blocks until every accepted event has been applied and the
@@ -129,24 +127,12 @@ class ScannerService {
   [[nodiscard]] RuntimeMetrics& metrics_registry() { return metrics_; }
 
  private:
-  /// One queued event plus its global arrival ticket. The consumer
-  /// merges the per-shard queues by ticket, so batch composition is
-  /// identical to a single FIFO queue (and per-pool order is preserved
-  /// outright: a pool always lands in the same shard queue).
-  struct Ticketed {
-    PoolUpdateEvent event;
-    std::uint64_t ticket = 0;
-  };
-
   ScannerService(const ServiceConfig& config);
 
   void run();
-  /// Pops up to max_batch events in global ticket order. Caller holds
+  /// Pops up to max_batch events in arrival order. Caller holds
   /// queue_mutex_.
   void take_batch_locked(std::vector<PoolUpdateEvent>& out);
-  /// Evicts the globally oldest queued event (kDropOldest). Caller
-  /// holds queue_mutex_.
-  void evict_oldest_locked();
 
   ServiceConfig config_;
   RuntimeMetrics metrics_;
@@ -161,16 +147,11 @@ class ScannerService {
   std::condition_variable queue_not_empty_;
   std::condition_variable queue_not_full_;
   std::condition_variable queue_drained_;
-  /// Per-shard ingress queues; everything below guarded by queue_mutex_.
-  std::vector<std::deque<Ticketed>> shard_queues_;
-  std::size_t total_queued_ = 0;
-  std::uint64_t next_ticket_ = 0;
+  /// The ingress FIFO; everything below guarded by queue_mutex_.
+  std::deque<PoolUpdateEvent> queue_;
   bool applying_ = false;  ///< consumer pipeline busy
   bool stopping_ = false;
   bool failed_ = false;  ///< consumer stopped on error
-  /// Pool value → owning ingress shard (ShardPlan::owner_of_pool),
-  /// immutable after start(); unknown ids route to shard 0.
-  std::vector<std::uint32_t> ingress_owner_;
 
   std::thread consumer_;
 };

@@ -180,7 +180,7 @@ TEST(ChaosDifferentialTest, FullParityAfterRecovery) {
   while (auto event = injector.next()) feed(*event);
   service->drain();
   ASSERT_TRUE(service->status().ok());
-  ASSERT_GT(service->metrics().pools_quarantined, 0u)
+  ASSERT_GT(service->metrics()[runtime::Counter::pools_quarantined], 0u)
       << "storm should quarantine at least one pool";
 
   // Clean tail: 300 fresh events per pool clears the 256-event backoff

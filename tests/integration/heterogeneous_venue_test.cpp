@@ -194,7 +194,7 @@ TEST(HeterogeneousVenueTest, AllCpmmDispatchBitIdenticalOver500Events) {
     if (batch.size() == 16) {
       const auto report = scanner.apply(batch).value();
       EXPECT_EQ(report.repriced_mixed, 0u);  // no generic solves, ever
-      EXPECT_EQ(report.repriced_cpmm, report.repriced);
+      EXPECT_EQ(report.repriced_cpmm + report.gated, report.repriced);
       batch.clear();
       expect_identical(
           core::scan_market(reference.graph, reference.prices, config)
@@ -299,11 +299,14 @@ TEST(HeterogeneousVenueTest, MixedMarketEndToEnd) {
       service->opportunities());
 
   const runtime::MetricsSnapshot metrics = service->metrics();
-  EXPECT_EQ(metrics.events_ingested, published);
-  EXPECT_GT(metrics.loops_repriced_mixed, 0u);
-  EXPECT_EQ(metrics.loops_repriced,
-            metrics.loops_repriced_cpmm + metrics.loops_repriced_mixed);
-  EXPECT_GT(metrics.mixed_reprice_samples, 0u);
+  using runtime::Counter;
+  EXPECT_EQ(metrics[Counter::events_ingested], published);
+  EXPECT_GT(metrics[Counter::loops_repriced_mixed], 0u);
+  EXPECT_EQ(metrics[Counter::loops_repriced],
+            metrics[Counter::loops_repriced_cpmm] +
+                metrics[Counter::loops_repriced_mixed] +
+                metrics[Counter::loops_gated]);
+  EXPECT_GT(metrics[runtime::Latency::mixed_reprice].samples, 0u);
   service->stop();
 }
 

@@ -170,10 +170,11 @@ std::vector<core::Opportunity> run_service(
   // The fast path carries the mixed load; the generic rungs (tick
   // crossings, rescues) stay a remainder, and the split never exceeds
   // the gate survivors.
-  EXPECT_GT(metrics.loops_repriced_mixed_fast, 0u);
-  EXPECT_LE(metrics.loops_repriced_mixed_fast +
-                metrics.loops_repriced_mixed_generic,
-            metrics.loops_repriced_mixed);
+  using runtime::Counter;
+  EXPECT_GT(metrics[Counter::loops_repriced_mixed_fast], 0u);
+  EXPECT_LE(metrics[Counter::loops_repriced_mixed_fast] +
+                metrics[Counter::loops_repriced_mixed_generic],
+            metrics[Counter::loops_repriced_mixed]);
   service->stop();
   return ranked;
 }

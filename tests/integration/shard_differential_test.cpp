@@ -112,8 +112,11 @@ RunResult run_stream(const market::MarketSnapshot& snapshot,
   service->opportunities_into(result.opportunities);
   result.quarantined = service->quarantined_pools();
   const runtime::MetricsSnapshot metrics = service->metrics();
-  result.rejected = metrics.events_rejected;
-  result.repriced = metrics.loops_repriced;
+  for (std::size_t r = 0; r < runtime::kRejectReasonCount; ++r) {
+    result.rejected[r] = metrics[runtime::rejected_counter(
+        static_cast<runtime::RejectReason>(r))];
+  }
+  result.repriced = metrics[runtime::Counter::loops_repriced];
   result.shard_repriced = metrics.shard_repriced;
   service->stop();
   return result;

@@ -112,23 +112,27 @@ TEST(FaultInjectionTest, ServiceSurvivesTenThousandEventStreams) {
     EXPECT_TRUE(service->status().ok()) << service->status().error().message;
 
     const MetricsSnapshot metrics = service->metrics();
-    EXPECT_EQ(metrics.events_ingested, published);
-    EXPECT_EQ(metrics.events_ingested, injector.counts().delivered);
+    EXPECT_EQ(metrics[Counter::events_ingested], published);
+    EXPECT_EQ(metrics[Counter::events_ingested], injector.counts().delivered);
     // Corruption is certain at these rates over 10k events, and every
     // corrupted payload must be rejected, never applied.
     EXPECT_GT(metrics.events_rejected_total(), 0u);
-    EXPECT_LE(metrics.events_rejected_total(), metrics.events_ingested);
+    EXPECT_LE(metrics.events_rejected_total(),
+              metrics[Counter::events_ingested]);
     // Quarantine stays bounded by the pool set and the live gauge agrees
     // with the service's own listing.
     const auto quarantined = service->quarantined_pools();
-    EXPECT_EQ(metrics.pools_quarantined_now, quarantined.size());
+    EXPECT_EQ(metrics[Gauge::pools_quarantined_now], quarantined.size());
     EXPECT_LE(quarantined.size(), snapshot.graph.pool_count());
-    EXPECT_GE(metrics.pools_quarantined,
-              metrics.pools_quarantined_now + metrics.resyncs);
-    // Metrics parity: the per-kind split always sums to the total, with
-    // quarantine-skipped loops counted in neither.
-    EXPECT_EQ(metrics.loops_repriced,
-              metrics.loops_repriced_cpmm + metrics.loops_repriced_mixed);
+    EXPECT_GE(metrics[Counter::pools_quarantined],
+              metrics[Gauge::pools_quarantined_now] +
+                  metrics[Counter::resyncs]);
+    // Metrics parity: the per-kind solves and the gate rejects always sum
+    // to the total, with quarantine-skipped loops counted in none.
+    EXPECT_EQ(metrics[Counter::loops_repriced],
+              metrics[Counter::loops_repriced_cpmm] +
+                  metrics[Counter::loops_repriced_mixed] +
+                  metrics[Counter::loops_gated]);
     // The ranked view stays servable throughout.
     (void)service->opportunities();
     service->stop();
@@ -160,9 +164,12 @@ TEST(FaultInjectionTest, RejectCountsAreDeterministicPerSeed) {
     EXPECT_TRUE(service->status().ok());
     RunResult result;
     const MetricsSnapshot metrics = service->metrics();
-    result.rejected = metrics.events_rejected;
-    result.entered = metrics.pools_quarantined;
-    result.resyncs = metrics.resyncs;
+    for (std::size_t r = 0; r < kRejectReasonCount; ++r) {
+      result.rejected[r] =
+          metrics[rejected_counter(static_cast<RejectReason>(r))];
+    }
+    result.entered = metrics[Counter::pools_quarantined];
+    result.resyncs = metrics[Counter::resyncs];
     result.quarantined = service->quarantined_pools();
     for (const auto& opp : service->opportunities()) {
       result.keys.push_back(opp.cycle.rotation_key());
@@ -205,7 +212,7 @@ TEST(FaultInjectionTest, QuarantinedPoolsRecoverOnCleanData) {
   service->drain();
   ASSERT_TRUE(service->status().ok());
   const MetricsSnapshot after_burst = service->metrics();
-  EXPECT_GT(after_burst.pools_quarantined, 0u)
+  EXPECT_GT(after_burst[Counter::pools_quarantined], 0u)
       << "corruption burst should have quarantined at least one pool";
 
   // Clean tail: 300 fresh valid events per pool — beyond the 256-event
@@ -229,10 +236,10 @@ TEST(FaultInjectionTest, QuarantinedPoolsRecoverOnCleanData) {
   service->drain();
   EXPECT_TRUE(service->status().ok());
   const MetricsSnapshot metrics = service->metrics();
-  EXPECT_EQ(metrics.pools_quarantined_now, 0u);
+  EXPECT_EQ(metrics[Gauge::pools_quarantined_now], 0u);
   EXPECT_TRUE(service->quarantined_pools().empty());
   // Every quarantine entry was eventually released as a resync.
-  EXPECT_EQ(metrics.resyncs, metrics.pools_quarantined);
+  EXPECT_EQ(metrics[Counter::resyncs], metrics[Counter::pools_quarantined]);
   service->stop();
 }
 

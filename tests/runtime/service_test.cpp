@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/scanner.hpp"
 #include "market/generator.hpp"
 #include "runtime/replay_stream.hpp"
 #include "runtime/routing_service.hpp"
+#include "tests/core/fixtures.hpp"
 
 namespace arb::runtime {
 namespace {
@@ -61,13 +63,14 @@ TEST(ScannerServiceTest, ConvergesToFullScanOfFinalState) {
   }
 
   const MetricsSnapshot metrics = service->metrics();
-  EXPECT_EQ(metrics.events_ingested, published);
-  EXPECT_EQ(metrics.events_dropped, 0u);
-  EXPECT_GE(metrics.batches, 1u);
-  EXPECT_GT(metrics.loops_repriced, 0u);
-  EXPECT_EQ(metrics.reprice_samples, metrics.batches);
-  EXPECT_GT(metrics.reprice_p50_us, 0.0);
-  EXPECT_LE(metrics.reprice_p50_us, metrics.reprice_max_us);
+  EXPECT_EQ(metrics[Counter::events_ingested], published);
+  EXPECT_EQ(metrics[Counter::events_dropped], 0u);
+  EXPECT_GE(metrics[Counter::batches], 1u);
+  EXPECT_GT(metrics[Counter::loops_repriced], 0u);
+  EXPECT_EQ(metrics[Latency::reprice].samples, metrics[Counter::batches]);
+  EXPECT_GT(metrics[Latency::reprice].p50_us, 0.0);
+  EXPECT_LE(metrics[Latency::reprice].p50_us,
+            metrics[Latency::reprice].max_us);
   service->stop();
 }
 
@@ -100,34 +103,88 @@ TEST(ScannerServiceTest, DropNewestCountsDrops) {
   }
   service->drain();
   const MetricsSnapshot metrics = service->metrics();
-  EXPECT_EQ(metrics.events_ingested, accepted);
-  EXPECT_EQ(metrics.events_dropped, rejected);
+  EXPECT_EQ(metrics[Counter::events_ingested], accepted);
+  EXPECT_EQ(metrics[Counter::events_dropped], rejected);
   EXPECT_GT(accepted, 0u);
   service->stop();
 }
 
 TEST(ScannerServiceTest, DropOldestAcceptsEverything) {
   const auto snapshot = test_snapshot();
+  // K = 4 spreads the pools over validator shards; eviction must still
+  // take the globally oldest queued event.
+  for (const std::size_t shards : {1, 4}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    ServiceConfig config;
+    config.scanner.loop_lengths = {3};
+    config.worker_threads = 1;
+    config.shards = shards;
+    config.queue_capacity = 2;
+    config.max_batch = 2;
+    config.backpressure = BackpressurePolicy::kDropOldest;
+    auto service = ScannerService::start(snapshot, config).value();
+
+    // Round-robin over eight pools, every event a distinct state.
+    std::vector<PoolUpdateEvent> published;
+    for (std::uint64_t i = 0; i < 100; ++i) {
+      const amm::AnyPool& pool = snapshot.graph.pool(
+          PoolId{static_cast<PoolId::underlying_type>(i % 8)});
+      PoolUpdateEvent event;
+      event.pool = pool.id();
+      event.reserve0 = pool.reserve0() * (1.0 + 1e-6 * static_cast<double>(i));
+      event.reserve1 = pool.reserve1();
+      event.sequence = i + 1;
+      EXPECT_TRUE(service->publish(event));
+      published.push_back(event);
+    }
+    service->drain();
+    ASSERT_TRUE(service->status().ok());
+    const MetricsSnapshot metrics = service->metrics();
+    EXPECT_EQ(metrics[Counter::events_ingested], 100u);
+    // Evicting the oldest never touches the last two events (the queue
+    // holds two), so both land whatever the consumer's timing.
+    service->with_snapshot([&](const market::MarketSnapshot& committed) {
+      for (std::size_t i = published.size() - 2; i < published.size(); ++i) {
+        EXPECT_EQ(committed.graph.pool(published[i].pool).reserve0(),
+                  published[i].reserve0);
+      }
+    });
+    service->stop();
+  }
+}
+
+// Gate rejects are counted as loops_gated, never as per-kind solves: a
+// market with consistent prices fails the price-product gate in both
+// orientations, so no per-kind latency sample may appear.
+TEST(ScannerServiceTest, GateRejectsAreNotSolves) {
+  const core::testing::NoArbMarket m;
+  market::MarketSnapshot snapshot;
+  snapshot.graph = m.graph;
+  snapshot.prices = m.prices;
   ServiceConfig config;
   config.scanner.loop_lengths = {3};
   config.worker_threads = 1;
-  config.queue_capacity = 2;
-  config.max_batch = 2;
-  config.backpressure = BackpressurePolicy::kDropOldest;
   auto service = ScannerService::start(snapshot, config).value();
 
+  // Scaling both reserves keeps the internal prices consistent.
   const amm::AnyPool& pool = snapshot.graph.pool(PoolId{0});
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    PoolUpdateEvent event;
-    event.pool = pool.id();
-    event.reserve0 = pool.reserve0();
-    event.reserve1 = pool.reserve1();
-    event.sequence = i;
-    EXPECT_TRUE(service->publish(event));
-  }
+  PoolUpdateEvent event;
+  event.pool = pool.id();
+  event.reserve0 = pool.reserve0() * 1.01;
+  event.reserve1 = pool.reserve1() * 1.01;
+  event.sequence = 1;
+  ASSERT_TRUE(service->publish(event));
   service->drain();
+  ASSERT_TRUE(service->status().ok());
+
   const MetricsSnapshot metrics = service->metrics();
-  EXPECT_EQ(metrics.events_ingested, 100u);
+  EXPECT_EQ(metrics[Counter::loops_gated], 2u);  // both orientations
+  EXPECT_EQ(metrics[Counter::loops_repriced], 2u);
+  EXPECT_EQ(metrics[Counter::loops_repriced_cpmm], 0u);
+  EXPECT_EQ(metrics[Counter::loops_repriced_mixed], 0u);
+  EXPECT_EQ(metrics[Latency::cpmm_reprice].samples, 0u);
+  EXPECT_EQ(metrics[Latency::mixed_reprice].samples, 0u);
+  EXPECT_EQ(metrics[Latency::reprice].samples, metrics[Counter::batches]);
   service->stop();
 }
 
@@ -164,9 +221,7 @@ TEST(ScannerServiceTest, RejectsBadEventAndContinues) {
   service->drain();
   EXPECT_TRUE(service->status().ok());
   const MetricsSnapshot metrics = service->metrics();
-  EXPECT_EQ(metrics.events_rejected[static_cast<std::size_t>(
-                RejectReason::kUnknownPool)],
-            1u);
+  EXPECT_EQ(metrics[rejected_counter(RejectReason::kUnknownPool)], 1u);
 
   // A good event after the bad one still lands.
   PoolUpdateEvent good;
@@ -177,7 +232,7 @@ TEST(ScannerServiceTest, RejectsBadEventAndContinues) {
   ASSERT_TRUE(service->publish(good));
   service->drain();
   EXPECT_TRUE(service->status().ok());
-  EXPECT_GE(service->metrics().batches, 1u);
+  EXPECT_GE(service->metrics()[Counter::batches], 1u);
   service->stop();
 }
 
@@ -248,14 +303,16 @@ TEST(ScannerServiceTest, PipelineDepthsConvergeIdentically) {
     ASSERT_TRUE(service->status().ok());
 
     const MetricsSnapshot metrics = service->metrics();
-    EXPECT_EQ(metrics.pipeline_depth, depth);
-    EXPECT_EQ(metrics.epoch_lag, 0u);  // drained == settled
-    EXPECT_GE(metrics.batches, 1u);
-    EXPECT_EQ(metrics.reprice_samples, metrics.batches);
-    EXPECT_EQ(metrics.stage_write_samples, metrics.batches);
-    EXPECT_GE(metrics.stage_validate_samples, metrics.batches);
+    EXPECT_EQ(metrics[Gauge::pipeline_depth], depth);
+    EXPECT_EQ(metrics[Gauge::epoch_lag], 0u);  // drained == settled
+    EXPECT_GE(metrics[Counter::batches], 1u);
+    EXPECT_EQ(metrics[Latency::reprice].samples, metrics[Counter::batches]);
+    EXPECT_EQ(metrics[Latency::stage_write].samples,
+              metrics[Counter::batches]);
+    EXPECT_GE(metrics[Latency::stage_validate].samples,
+              metrics[Counter::batches]);
     results.push_back(service->opportunities());
-    ingested.push_back(metrics.events_ingested);
+    ingested.push_back(metrics[Counter::events_ingested]);
     service->stop();
   }
   for (std::size_t i = 1; i < results.size(); ++i) {
@@ -302,11 +359,12 @@ TEST(ScannerServiceTest, WarmHitRateAboveEightyPercentInSteadyState) {
   ASSERT_TRUE(service->status().ok());
 
   const MetricsSnapshot metrics = service->metrics();
-  const std::uint64_t solves = metrics.warm_hits + metrics.warm_misses;
+  const std::uint64_t solves =
+      metrics[Counter::warm_hits] + metrics[Counter::warm_misses];
   ASSERT_GT(solves, 0u);
-  const double rate = static_cast<double>(metrics.warm_hits) /
+  const double rate = static_cast<double>(metrics[Counter::warm_hits]) /
                       static_cast<double>(solves);
-  EXPECT_GE(rate, 0.80) << metrics.warm_hits << "/" << solves;
+  EXPECT_GE(rate, 0.80) << metrics[Counter::warm_hits] << "/" << solves;
   service->stop();
 }
 
@@ -346,16 +404,17 @@ TEST(ScannerServiceTest, MixedWarmHitRateAboveSixtyPercentInSteadyState) {
 
   const MetricsSnapshot metrics = service->metrics();
   // The stream actually exercised mixed loops on the fast path.
-  EXPECT_GT(metrics.loops_repriced_mixed, 0u);
-  EXPECT_GT(metrics.loops_repriced_mixed_fast, 0u);
-  const std::uint64_t solves = metrics.warm_hits + metrics.warm_misses;
+  EXPECT_GT(metrics[Counter::loops_repriced_mixed], 0u);
+  EXPECT_GT(metrics[Counter::loops_repriced_mixed_fast], 0u);
+  const std::uint64_t solves =
+      metrics[Counter::warm_hits] + metrics[Counter::warm_misses];
   ASSERT_GT(solves, 0u);
-  const double rate = static_cast<double>(metrics.warm_hits) /
+  const double rate = static_cast<double>(metrics[Counter::warm_hits]) /
                       static_cast<double>(solves);
-  EXPECT_GE(rate, 0.60) << metrics.warm_hits << "/" << solves;
+  EXPECT_GE(rate, 0.60) << metrics[Counter::warm_hits] << "/" << solves;
   // Clean stream, in-range moves: no slot ever goes valid → invalid
   // (quarantines and generic-route invalidation are fault/edge events).
-  EXPECT_EQ(metrics.warm_invalidations, 0u);
+  EXPECT_EQ(metrics[Counter::warm_invalidations], 0u);
   service->stop();
 }
 
@@ -398,13 +457,15 @@ TEST(RoutingServiceTest, AnswersQueriesAndCountsMethods) {
   EXPECT_GT(after->amount_out, 0.0);
 
   const MetricsSnapshot metrics = service->metrics();
-  EXPECT_EQ(metrics.routing_queries, 3u);
-  EXPECT_EQ(metrics.routing_failures, 1u);
-  EXPECT_EQ(metrics.routing_direct + metrics.routing_water_filling +
-                metrics.routing_flow_solves,
+  EXPECT_EQ(metrics[Counter::routing_queries], 3u);
+  EXPECT_EQ(metrics[Counter::routing_failures], 1u);
+  EXPECT_EQ(metrics[Counter::routing_direct] +
+                metrics[Counter::routing_water_filling] +
+                metrics[Counter::routing_flow_solves],
             2u);
-  EXPECT_EQ(metrics.routing_samples, 3u);
-  EXPECT_GE(metrics.routing_max_us, metrics.routing_p50_us);
+  EXPECT_EQ(metrics[Latency::routing].samples, 3u);
+  EXPECT_GE(metrics[Latency::routing].max_us,
+            metrics[Latency::routing].p50_us);
   service->stop();
 }
 

@@ -172,51 +172,52 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(counts.pulled),
                 static_cast<unsigned long long>(counts.delivered));
   }
+  using runtime::Counter;
+  using runtime::Gauge;
+  using runtime::Latency;
+  const auto count = [&](auto row) {
+    return static_cast<unsigned long long>(metrics[row]);
+  };
   if (metrics.events_rejected_total() > 0 || injector != nullptr) {
     std::printf("rejected by reason:");
     for (std::size_t r = 0; r < runtime::kRejectReasonCount; ++r) {
-      std::printf(" %s=%llu",
-                  runtime::to_string(static_cast<runtime::RejectReason>(r)),
-                  static_cast<unsigned long long>(metrics.events_rejected[r]));
+      const auto reason = static_cast<runtime::RejectReason>(r);
+      std::printf(" %s=%llu", runtime::to_string(reason),
+                  count(runtime::rejected_counter(reason)));
     }
     std::printf("\n");
     std::printf("quarantine: entered=%llu now=%zu resyncs=%llu "
                 "solver_fallbacks=%llu\n",
-                static_cast<unsigned long long>(metrics.pools_quarantined),
-                quarantined.size(),
-                static_cast<unsigned long long>(metrics.resyncs),
-                static_cast<unsigned long long>(metrics.solver_fallbacks));
+                count(Counter::pools_quarantined), quarantined.size(),
+                count(Counter::resyncs), count(Counter::solver_fallbacks));
     for (const PoolId pool : quarantined) {
       std::printf("  quarantined: %s\n",
                   snapshot.graph.pool(pool).to_string().c_str());
     }
   }
-  std::printf("repricing by venue kind:\n");
-  std::printf("  cpmm : %llu loops, per-loop us p50=%.1f p99=%.1f max=%.1f\n",
-              static_cast<unsigned long long>(metrics.loops_repriced_cpmm),
-              metrics.cpmm_reprice_p50_us, metrics.cpmm_reprice_p99_us,
-              metrics.cpmm_reprice_max_us);
-  std::printf("  mixed: %llu loops, per-loop us p50=%.1f p99=%.1f max=%.1f\n",
-              static_cast<unsigned long long>(metrics.loops_repriced_mixed),
-              metrics.mixed_reprice_p50_us, metrics.mixed_reprice_p99_us,
-              metrics.mixed_reprice_max_us);
+  const auto latency = [&](const char* label, Latency row) {
+    const runtime::LatencyStats& l = metrics[row];
+    std::printf("%s: us p50=%.1f p99=%.1f max=%.1f (%llu samples)\n", label,
+                l.p50_us, l.p99_us, l.max_us,
+                static_cast<unsigned long long>(l.samples));
+  };
+  std::printf("repricing by venue kind: %llu cpmm + %llu mixed solves, "
+              "%llu loops gated\n",
+              count(Counter::loops_repriced_cpmm),
+              count(Counter::loops_repriced_mixed),
+              count(Counter::loops_gated));
+  latency("  cpmm per-loop ", Latency::cpmm_reprice);
+  latency("  mixed per-loop", Latency::mixed_reprice);
   std::printf("pipeline: depth %llu, epoch lag %llu, worker queue %llu, "
               "warm invalidations %llu\n",
-              static_cast<unsigned long long>(metrics.pipeline_depth),
-              static_cast<unsigned long long>(metrics.epoch_lag),
-              static_cast<unsigned long long>(metrics.worker_queue_depth),
-              static_cast<unsigned long long>(metrics.warm_invalidations));
-  std::printf("  validate stage: us p50=%.1f p99=%.1f (%llu batches)\n",
-              metrics.stage_validate_p50_us, metrics.stage_validate_p99_us,
-              static_cast<unsigned long long>(metrics.stage_validate_samples));
-  std::printf("  write stage   : us p50=%.1f p99=%.1f (%llu epochs)\n",
-              metrics.stage_write_p50_us, metrics.stage_write_p99_us,
-              static_cast<unsigned long long>(metrics.stage_write_samples));
-  std::printf("  reprice stage : us p50=%.1f p99=%.1f\n",
-              metrics.reprice_p50_us, metrics.reprice_p99_us);
+              count(Gauge::pipeline_depth), count(Gauge::epoch_lag),
+              count(Gauge::worker_queue_depth),
+              count(Counter::warm_invalidations));
+  latency("  validate stage", Latency::stage_validate);
+  latency("  write stage   ", Latency::stage_write);
+  latency("  reprice stage ", Latency::reprice);
   std::printf("shard router: %llu shards, plan imbalance %.3f\n",
-              static_cast<unsigned long long>(metrics.shards),
-              metrics.shard_imbalance);
+              count(Gauge::shards), metrics[Gauge::shard_imbalance]);
   for (std::size_t s = 0; s < metrics.shard_repriced.size(); ++s) {
     std::printf("  shard %zu: %llu loops repriced\n", s,
                 static_cast<unsigned long long>(metrics.shard_repriced[s]));
