@@ -1,11 +1,11 @@
 // Ablation: solver choices behind the Convex Optimization strategy.
 //
-// Three routes to the same optimum are compared on the Section VI loops:
-//   barrier-reduced  — log-barrier interior point on the n-variable form
-//   barrier-full     — same solver on the 2n-variable eq. (8) transcription
-//   coordinate       — barrier-free compensated coordinate ascent
+// Two routes to the same optimum are compared on the Section VI loops:
+//   barrier     — log-barrier interior point on the one-cycle flow
+//                 program (solve_convex)
+//   coordinate  — barrier-free compensated coordinate ascent
 // plus MaxMax (bisection) as the baseline lower bound. Reported: profit
-// agreement vs barrier-reduced and wall-clock per loop.
+// agreement vs the barrier and wall-clock per loop.
 
 #include <chrono>
 
@@ -30,11 +30,9 @@ int main() {
   const auto& graph = study.market.graph;
   const auto& prices = study.market.prices;
 
-  StreamingStats full_gap;
   StreamingStats coordinate_gap;
   StreamingStats maxmax_gap;
-  double t_reduced = 0.0;
-  double t_full = 0.0;
+  double t_barrier = 0.0;
   double t_coordinate = 0.0;
   double t_maxmax = 0.0;
 
@@ -42,18 +40,11 @@ int main() {
     const graph::Cycle& loop = row.cycle;
 
     double t0 = now_seconds();
-    const auto reduced =
-        bench::expect_ok(core::solve_convex(graph, prices, loop), "reduced");
-    t_reduced += now_seconds() - t0;
-    const double reference = reduced.outcome.monetized_usd;
+    const auto barrier =
+        bench::expect_ok(core::solve_convex(graph, prices, loop), "barrier");
+    t_barrier += now_seconds() - t0;
+    const double reference = barrier.outcome.monetized_usd;
     if (reference <= 0.0) continue;
-
-    core::ConvexOptions full_options;
-    full_options.use_full_formulation = true;
-    t0 = now_seconds();
-    const auto full = bench::expect_ok(
-        core::solve_convex(graph, prices, loop, full_options), "full");
-    t_full += now_seconds() - t0;
 
     t0 = now_seconds();
     const auto hops =
@@ -66,34 +57,28 @@ int main() {
         core::evaluate_max_max(graph, prices, loop), "maxmax");
     t_maxmax += now_seconds() - t0;
 
-    full_gap.add((full.outcome.monetized_usd - reference) / reference);
     coordinate_gap.add((coordinate.profit_usd - reference) / reference);
     maxmax_gap.add((maxmax.monetized_usd - reference) / reference);
   }
 
   bench::FigureSink sink(
       "ablation_solvers",
-      "solver agreement (relative to barrier-reduced) and cost",
+      "solver agreement (relative to the barrier) and cost",
       {"solver_id", "mean_rel_gap", "worst_rel_gap", "total_seconds"});
-  sink.row({0.0, 0.0, 0.0, t_reduced});  // barrier-reduced (reference)
-  sink.row({1.0, full_gap.mean(),
-            std::max(std::abs(full_gap.min()), std::abs(full_gap.max())),
-            t_full});
-  sink.row({2.0, coordinate_gap.mean(),
+  sink.row({0.0, 0.0, 0.0, t_barrier});  // barrier (reference)
+  sink.row({1.0, coordinate_gap.mean(),
             std::max(std::abs(coordinate_gap.min()),
                      std::abs(coordinate_gap.max())),
             t_coordinate});
-  sink.row({3.0, maxmax_gap.mean(),
+  sink.row({2.0, maxmax_gap.mean(),
             std::max(std::abs(maxmax_gap.min()), std::abs(maxmax_gap.max())),
             t_maxmax});
 
-  std::printf("solver ids: 0=barrier-reduced 1=barrier-full(eq.8) "
-              "2=coordinate-ascent 3=maxmax-baseline\n");
-  std::printf("full-form gap:   %s\n", full_gap.summary().c_str());
+  std::printf("solver ids: 0=barrier 1=coordinate-ascent "
+              "2=maxmax-baseline\n");
   std::printf("coordinate gap:  %s\n", coordinate_gap.summary().c_str());
   std::printf("maxmax gap:      %s\n", maxmax_gap.summary().c_str());
-  std::printf("shape check: all three convex routes agree to ~1e-4 "
-              "relative; the reduced transcription is the cheapest; MaxMax "
-              "sits just below (it is the lower bound)\n\n");
+  std::printf("shape check: both convex routes agree to ~1e-4 relative; "
+              "MaxMax sits just below (it is the lower bound)\n\n");
   return 0;
 }

@@ -5,8 +5,9 @@
 //       (must be zero: the whole point of SolveWorkspace),
 //   (c) cold-start vs warm-start barrier solves over a stream of reserve
 //       perturbations, enforcing the >=3x warm speedup bar,
-//   (d) closed-form 2-pool kernel vs the barrier solver (agreement to
-//       <=1e-9 relative profit and the analytic speedup).
+//   (d) closed-form 2-pool kernel vs the barrier solver on the same
+//       loop's flow instance (agreement to <=1e-9 relative profit and
+//       the analytic speedup).
 // Emits BENCH_solver.json with median + p99 nanoseconds per section.
 // Set ARB_BENCH_RELAXED=1 to relax the performance bars (CI smoke runs
 // on shared hardware where a 3x median can wobble).
@@ -22,7 +23,7 @@
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "core/convex.hpp"
-#include "core/loop_nlp.hpp"
+#include "core/flow_nlp.hpp"
 #include "graph/cycle.hpp"
 #include "graph/token_graph.hpp"
 #include "market/price_feed.hpp"
@@ -128,17 +129,16 @@ int main() {
 
   Market3 market;
   const graph::Cycle loop = market.loop();
-  const auto hops =
-      bench::expect_ok(core::make_hop_data(market.graph, market.prices, loop),
-                       "make_hop_data");
-  const core::ReducedLoopProblem problem(hops);
-  const std::size_t n = hops.size();
+  // The loop's convex program in raw units: the one-cycle flow instance.
+  const core::FlowProblem problem(bench::expect_ok(
+      core::FlowInstance::from_cycle(market.graph, market.prices, loop),
+      "from_cycle"));
+  const std::size_t n = problem.dimension();
 
   // -- (a) Per-stage timings -----------------------------------------------
   {
     optim::SolveWorkspace ws;
-    optim::Phase1Options phase1;
-    phase1.barrier.refine_duals = false;
+    const optim::Phase1Options phase1;
     const math::Vector zero(n, 0.0);
     const bench::Timing phase1_timing = bench::measure([&] {
       auto found = optim::find_strictly_feasible(problem, zero, phase1, ws);
@@ -193,13 +193,12 @@ int main() {
 
   // -- (b) Steady-state allocation count -----------------------------------
   {
-    optim::BarrierOptions options;
-    options.refine_duals = false;  // the documented hot-path setting
-    const optim::BarrierSolver solver(options);
+    const optim::BarrierSolver solver;
     optim::SolveWorkspace ws;
     optim::BarrierReport report;
-    const auto start = bench::expect_ok(core::reduced_interior_start(hops),
-                                        "reduced_interior_start");
+    const auto start = bench::expect_ok(
+        optim::find_strictly_feasible(problem, math::Vector(n, 0.0)),
+        "interior start");
     // Warm-up grows every buffer to its steady-state capacity.
     if (!solver.solve_into(problem, start, ws, report).ok()) return 2;
 
@@ -230,9 +229,7 @@ int main() {
 
   // -- (c) Cold vs warm over reserve perturbations --------------------------
   {
-    core::ConvexOptions options;
-    options.barrier.refine_duals = false;
-
+    const core::ConvexOptions options;
     core::ConvexContext cold_ctx;
     core::ConvexContext warm_ctx;
     optim::WarmStart warm_slot;
@@ -346,27 +343,24 @@ int main() {
     Market2 market2;
     const graph::Cycle loop2 = market2.loop();
 
-    core::ConvexOptions closed_options;
-    closed_options.barrier.refine_duals = false;
-    core::ConvexOptions barrier_options = closed_options;
-    barrier_options.use_closed_form_length2 = false;
-
+    // The barrier route for the same loop: its one-cycle flow instance.
+    const auto instance = bench::expect_ok(
+        core::FlowInstance::from_cycle(market2.graph, market2.prices, loop2),
+        "from_cycle");
     core::ConvexContext closed_ctx;
-    core::ConvexContext barrier_ctx;
+    core::FlowContext barrier_ctx;
     const auto closed = bench::expect_ok(
-        core::solve_convex(market2.graph, market2.prices, loop2,
-                           closed_options, closed_ctx),
+        core::solve_convex(market2.graph, market2.prices, loop2, {},
+                           closed_ctx),
         "closed-form solve");
     const auto barrier = bench::expect_ok(
-        core::solve_convex(market2.graph, market2.prices, loop2,
-                           barrier_options, barrier_ctx),
-        "barrier 2-pool solve");
+        core::solve_flow(instance, {}, barrier_ctx), "barrier 2-pool solve");
     if (!closed_ctx.used_closed_form) {
       std::fprintf(stderr, "FAIL: closed-form kernel did not fire\n");
       failed = true;
     }
-    const double disagreement = relative_difference(
-        closed.outcome.monetized_usd, barrier.outcome.monetized_usd);
+    const double disagreement =
+        relative_difference(closed.outcome.monetized_usd, barrier.objective);
     json.set("closed_form.profit_usd", closed.outcome.monetized_usd);
     json.set("closed_form.vs_barrier_relative", disagreement);
     sink.labeled_row("closed_form_vs_barrier_rel", {disagreement});
@@ -379,15 +373,13 @@ int main() {
 
     const bench::Timing closed_timing = bench::measure([&] {
       (void)bench::expect_ok(
-          core::solve_convex(market2.graph, market2.prices, loop2,
-                             closed_options, closed_ctx),
+          core::solve_convex(market2.graph, market2.prices, loop2, {},
+                             closed_ctx),
           "closed-form solve");
     });
     const bench::Timing barrier_timing = bench::measure([&] {
-      (void)bench::expect_ok(
-          core::solve_convex(market2.graph, market2.prices, loop2,
-                             barrier_options, barrier_ctx),
-          "barrier 2-pool solve");
+      (void)bench::expect_ok(core::solve_flow(instance, {}, barrier_ctx),
+                             "barrier 2-pool solve");
     });
     json.set("closed_form.solve", closed_timing);
     json.set("closed_form.barrier_solve", barrier_timing);

@@ -66,7 +66,7 @@ void BM_MaxMaxAnalytic(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxMaxAnalytic)->Arg(3)->Arg(6)->Arg(10)->Arg(12);
 
-void BM_ConvexReduced(benchmark::State& state) {
+void BM_Convex(benchmark::State& state) {
   const RingMarket market(static_cast<std::size_t>(state.range(0)));
   const graph::Cycle loop = market.cycle();
   for (auto _ : state) {
@@ -74,20 +74,7 @@ void BM_ConvexReduced(benchmark::State& state) {
     benchmark::DoNotOptimize(solution);
   }
 }
-BENCHMARK(BM_ConvexReduced)->Arg(3)->Arg(4)->Arg(6)->Arg(8)->Arg(10)->Arg(12);
-
-void BM_ConvexFull(benchmark::State& state) {
-  const RingMarket market(static_cast<std::size_t>(state.range(0)));
-  const graph::Cycle loop = market.cycle();
-  core::ConvexOptions options;
-  options.use_full_formulation = true;
-  for (auto _ : state) {
-    auto solution =
-        core::solve_convex(market.graph, market.prices, loop, options);
-    benchmark::DoNotOptimize(solution);
-  }
-}
-BENCHMARK(BM_ConvexFull)->Arg(3)->Arg(6)->Arg(10)->Arg(12);
+BENCHMARK(BM_Convex)->Arg(3)->Arg(4)->Arg(6)->Arg(8)->Arg(10)->Arg(12);
 
 void BM_MaxPrice(benchmark::State& state) {
   const RingMarket market(static_cast<std::size_t>(state.range(0)));

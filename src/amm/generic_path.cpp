@@ -107,18 +107,23 @@ Result<OptimalTrade> optimize_input_generic(
   const auto profit = [&evaluate](double d) { return evaluate(d) - d; };
 
   OptimalTrade trade;
-  // Unprofitable at the margin? The profit function is concave with
-  // profit(0) = 0, so a non-positive value at a small probe means the
-  // slope at zero is <= 1 and the optimum is 0.
-  const double probe = options.initial_scale * 1e-9;
-  if (profit(probe) <= 0.0) {
-    return trade;
+  // Find a profitable input, halving down from initial_scale. The profit
+  // function is concave with profit(0) = 0, so once profit(hi) > 0 every
+  // smaller input is profitable too, and a chain that loses money all
+  // the way down to 1e-9·initial_scale has a zero optimum. One tiny
+  // probe cannot decide this: many decades below the pools' depth a
+  // quote loses its precision to cancellation, and a profitable
+  // concentrated-liquidity chain can read negative there.
+  double hi = options.initial_scale;
+  double previous = profit(hi);
+  while (!(previous > 0.0)) {
+    hi *= 0.5;
+    if (hi < options.initial_scale * 1e-9) return trade;
+    previous = profit(hi);
   }
 
   // Expand until the profit stops increasing: [0, hi] then brackets the
   // concave maximum.
-  double hi = options.initial_scale;
-  double previous = profit(hi);
   int guard = 0;
   while (guard++ < 200) {
     const double next = profit(hi * 2.0);

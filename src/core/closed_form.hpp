@@ -4,7 +4,8 @@
 /// Analytic optimum for length-2 constant-product loops, bypassing the
 /// iterative barrier solver.
 ///
-/// For n = 2 the reduced transcription (loop_nlp.hpp) is
+/// For n = 2 the loop program (eq. 8 with the CPMM constraints
+/// substituted, as solve_flow solves it for longer loops) is
 ///
 ///   maximize  Σ_i [P_{i+1}·F_i(d_i) − P_i·d_i]
 ///   s.t.      d_1 ≤ F_0(d_0),  d_0 ≤ F_1(d_1),  d_i ≥ 0,

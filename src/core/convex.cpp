@@ -1,225 +1,74 @@
 #include "core/convex.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
+#include <utility>
 
 #include "amm/any_pool.hpp"
-#include "amm/path.hpp"
 #include "common/logging.hpp"
 #include "core/closed_form.hpp"
-#include "optim/phase1.hpp"
+#include "core/generic_convex.hpp"
 
 namespace arb::core {
 namespace {
 
-/// Zero-profit solution (the Section IV theorem case).
-ConvexSolution zero_solution(const graph::Cycle& cycle) {
+/// Loops whose price product is within this margin of 1 are declared
+/// profitless without invoking a solver (Section IV theorem: when MaxMax
+/// finds nothing, Convex finds nothing).
+constexpr double kNoArbitrageMargin = 1e-12;
+
+/// Assembles a solution from per-hop amounts (raw token units). Token
+/// t_j retains out_{j−1} − in_j, monetized at its CEX price.
+ConvexSolution make_solution(const graph::Cycle& cycle,
+                             std::vector<double> inputs,
+                             std::vector<double> outputs,
+                             const std::vector<double>& token_prices) {
+  const std::size_t n = cycle.length();
   ConvexSolution solution;
   solution.outcome.kind = StrategyKind::kConvexOptimization;
   solution.outcome.start_token = cycle.tokens().front();
-  for (const TokenId token : cycle.tokens()) {
-    solution.outcome.profits.push_back(TokenProfit{token, 0.0});
+  solution.inputs = std::move(inputs);
+  solution.outputs = std::move(outputs);
+  for (std::size_t j = 0; j < n; ++j) {
+    const double retained =
+        solution.outputs[(j + n - 1) % n] - solution.inputs[j];
+    solution.outcome.profits.push_back(
+        TokenProfit{cycle.tokens()[j], retained});
+    solution.outcome.monetized_usd += token_prices[j] * retained;
   }
-  solution.inputs.assign(cycle.length(), 0.0);
-  solution.outputs.assign(cycle.length(), 0.0);
   return solution;
 }
 
-/// Collects per-token profits and the monetized total from per-hop
-/// (input, output) amounts. Token t_j retains out_{j-1} − in_j.
-void fill_profits(const std::vector<LoopHopData>& hops,
-                  const std::vector<double>& inputs,
-                  const std::vector<double>& outputs,
-                  StrategyOutcome& outcome) {
-  const std::size_t n = hops.size();
-  outcome.profits.clear();
-  outcome.monetized_usd = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::size_t prev = (j + n - 1) % n;
-    const double retained = outputs[prev] - inputs[j];
-    outcome.profits.push_back(TokenProfit{hops[j].token_in, retained});
-    outcome.monetized_usd += hops[j].price_in * retained;
-  }
-}
-
-/// Normalization making the barrier solve scale-invariant. Changing the
-/// unit of token t_i by u_i (amounts ÷ u_i, prices × u_i) is an exact
-/// symmetry of the problem; choosing u_i = x_i (each hop's input-side
-/// reserve) plus a common price rescale brings every quantity to O(1)
-/// regardless of whether reserves are 1e-3 or 1e9. The tolerances of the
-/// interior-point method then mean the same thing at every market scale.
-struct LoopNormalization {
-  std::vector<double> token_unit;  ///< u_i for token t_i (hop i's input)
-  double price_scale = 1.0;
-
-  static LoopNormalization create(const std::vector<LoopHopData>& hops) {
-    const std::size_t n = hops.size();
-    LoopNormalization norm;
-    norm.token_unit.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      // Stable hops: the reserve fields hold the osculating proxy, whose
-      // depth can dwarf the actual balances near the flat region of the
-      // curve — normalize by the real input-side balance instead so the
-      // units stay physically meaningful.
-      norm.token_unit[i] = hops[i].kind == HopKind::kStable
-                               ? hops[i].stable_x0
-                               : hops[i].reserve_in;
-    }
-    // Scale prices by the loop's MaxMax optimum (closed form per
-    // rotation), so the normalized optimal profit is ~1 and the solver's
-    // duality gap means *relative* accuracy independent of how fat the
-    // loop is. Using the best rotation matters: anchoring on a rotation
-    // whose start token is nearly worthless would poison the scale.
-    double profit_usd = 0.0;
-    for (std::size_t r = 0; r < n; ++r) {
-      amm::MobiusCoefficients m = amm::MobiusCoefficients::identity();
-      for (std::size_t i = 0; i < n; ++i) {
-        const LoopHopData& hop = hops[(r + i) % n];
-        m = m.then_hop(hop.reserve_in, hop.reserve_out, hop.gamma);
-      }
-      const double input = m.optimal_input();
-      profit_usd = std::max(
-          profit_usd, hops[r].price_in * (m.evaluate(input) - input));
-    }
-    if (profit_usd > 0.0 && std::isfinite(profit_usd)) {
-      norm.price_scale = profit_usd;
-    } else {
-      double max_price = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        max_price =
-            std::max(max_price, hops[i].price_in * norm.token_unit[i]);
-      }
-      norm.price_scale = max_price > 0.0 ? max_price : 1.0;
-    }
-    return norm;
-  }
-
-  [[nodiscard]] std::vector<LoopHopData> normalize(
-      const std::vector<LoopHopData>& hops) const {
-    const std::size_t n = hops.size();
-    std::vector<LoopHopData> out = hops;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t next = (i + 1) % n;
-      out[i].reserve_in = hops[i].reserve_in / token_unit[i];
-      out[i].reserve_out = hops[i].reserve_out / token_unit[next];
-      out[i].price_in = hops[i].price_in * token_unit[i] / price_scale;
-      out[i].price_out = hops[i].price_out * token_unit[next] / price_scale;
-      // Per-kind kernel state: the stable closed form evaluates in raw
-      // units through these factors; tick caps rescale like inputs
-      // (inf / u stays inf on CPMM/stable hops).
-      out[i].unit_in = token_unit[i];
-      out[i].unit_out = token_unit[next];
-      out[i].input_cap = hops[i].input_cap / token_unit[i];
-    }
-    return out;
-  }
-};
-
-/// Projects a previous optimum back into the strict interior of the
-/// reduced feasible set after a reserve perturbation. At a convex
-/// optimum every intermediate flow constraint is tight (forwarding more
-/// through a monotone F_i is always better), so the stored iterate is —
-/// up to the perturbation δ — the tight chain d_{i+1} = F_i(d_i) grown
-/// from its own first component. The projection rebuilds exactly that
-/// chain on the perturbed pools, anchored at a₀ = min(d₀, ¾·Δ̄) where Δ̄
-/// is the loop's break-even input (the fixed point of the whole-loop
-/// Möbius map G; the cap keeps the anchor interior when the perturbation
-/// pushed d₀ past break-even). Each link is shaved by
-///   ε = min(margin, 1 − (a₀/G(a₀))^{1/2n}),
-/// which makes every flow constraint strict while provably preserving
-/// wrap slack: concavity of each F_i through the origin gives
-/// F_{n−1}(d_{n−1}) ≥ (1−ε)^{n−1}·G(a₀) > a₀ because
-/// (1−ε)^{2n} ≥ a₀/G(a₀). Scaling ε with the loop's own profitability is
-/// what earlier margin-first schemes missed: a fixed shave larger than
-/// the wrap slack leaves a barely-profitable loop with NO margin-
-/// feasible point at all, cold-starting exactly the flickering loops
-/// warm restarts are for. Returns false — caller cold-starts — when the
-/// anchor is non-positive or the perturbed loop is numerically
-/// profitless end-to-end.
-bool project_interior(const std::vector<LoopHopData>& hops, math::Vector& d,
-                      double margin) {
-  const std::size_t n = hops.size();
-  if (!(d[0] > 0.0) || !std::isfinite(d[0])) return false;
-  amm::MobiusCoefficients loop = amm::MobiusCoefficients::identity();
-  for (const LoopHopData& hop : hops) {
-    loop = loop.then_hop(hop.reserve_in, hop.reserve_out, hop.gamma);
-  }
-  // G(Δ) = aΔ/(b+cΔ); profitable loops have a > b, break-even (a−b)/c.
-  if (!(loop.a > loop.b) || !(loop.c > 0.0)) return false;
-  const double break_even = (loop.a - loop.b) / loop.c;
-  // Per-kind hop guard: the anchor must also clear the first hop's tick
-  // cap (min with +inf is the identity on CPMM/stable hops, so all-CPMM
-  // arithmetic is untouched).
-  const double anchor = std::min(
-      std::min(d[0], 0.75 * break_even), 0.9 * hops[0].input_cap);
-  const double gain = loop.evaluate(anchor);
-  if (!(anchor > 0.0) || !(gain > anchor)) return false;
-  const double shave = std::min(
-      margin,
-      1.0 - std::pow(anchor / gain, 1.0 / (2.0 * static_cast<double>(n))));
-  if (!(shave > 0.0)) return false;
-  d[0] = anchor;
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    d[i + 1] = hops[i].swap(d[i]) * (1.0 - shave);
-    if (!(d[i + 1] > 0.0)) return false;
-    // A rebuilt link crossing the next hop's tick cap means the
-    // perturbation moved the range edge under the cached iterate: the
-    // caller cold-starts (strict feasibility would reject it anyway).
-    if (!(d[i + 1] < hops[i + 1].input_cap)) return false;
-  }
-  return true;
-}
-
-/// Generic route: eq. (8) sized by the derivative-free coordinate
-/// solver over black-box SwapFn hops. No duality certificate (the gap
-/// reported is 0), no warm starts — reached when the mixed fast path is
-/// disabled, on tick-crossing/degenerate mixed state, or as the rescue
-/// rung after a barrier failure.
-Result<ConvexSolution> solve_convex_generic(const graph::TokenGraph& graph,
-                                            const market::CexPriceFeed& prices,
-                                            const graph::Cycle& cycle,
-                                            const ConvexOptions& options,
-                                            ConvexContext& ctx) {
+/// Generic route: eq. (8) sized by the derivative-free coordinate solver
+/// over the pools' own quotes. No duality certificate (the gap reported
+/// is 0) and no warm start: its iterates don't map back to the barrier's
+/// central path, so a cached warm slot is meaningless afterwards.
+Result<ConvexSolution> solve_convex_generic(
+    const graph::TokenGraph& graph, const graph::Cycle& cycle,
+    const std::vector<double>& token_prices, ConvexContext& ctx) {
   ctx.used_generic = true;
-  // The coordinate solver's iterates don't map back to the barrier's
-  // central path, so a cached warm slot is meaningless after this route.
   if (ctx.warm) ctx.warm->valid = false;
 
   const std::size_t n = cycle.length();
   std::vector<GenericHop> hops(n);
   for (std::size_t i = 0; i < n; ++i) {
-    auto price = prices.price(cycle.tokens()[i]);
-    if (!price) return price.error();
     hops[i] = GenericHop{
         amm::swap_fn(graph.pool(cycle.pools()[i]), cycle.tokens()[i]),
-        *price};
+        token_prices[i]};
   }
-  GenericConvexOptions generic_options = options.generic;
+  GenericConvexOptions options;
   // Seed the bracket search at a fraction of the first hop's input-side
   // depth so the expansion starts at the right order of magnitude.
-  generic_options.initial_scale = std::max(
-      generic_options.initial_scale,
+  options.initial_scale = std::max(
+      options.initial_scale,
       1e-3 * graph.pool(cycle.pools()[0]).reserve_of(cycle.tokens()[0]));
 
-  auto report = solve_generic_convex(hops, generic_options, ctx.workspace);
+  auto report = solve_generic_convex(hops, options, ctx.workspace);
   if (!report) return report.error();
-
-  ConvexSolution solution;
-  solution.outcome.kind = StrategyKind::kConvexOptimization;
-  solution.outcome.start_token = cycle.tokens().front();
-  solution.inputs = std::move(report->inputs);
-  solution.outputs = std::move(report->outputs);
-  solution.duality_gap_usd = 0.0;
+  ConvexSolution solution =
+      make_solution(cycle, std::move(report->inputs),
+                    std::move(report->outputs), token_prices);
   solution.outcome.solver_iterations = report->sweeps;
-  solution.outcome.monetized_usd = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::size_t prev = (j + n - 1) % n;
-    const double retained = solution.outputs[prev] - solution.inputs[j];
-    solution.outcome.profits.push_back(
-        TokenProfit{cycle.tokens()[j], retained});
-    solution.outcome.monetized_usd += hops[j].price_in * retained;
-  }
   return solution;
 }
 
@@ -239,11 +88,12 @@ Result<ConvexSolution> solve_convex(const graph::TokenGraph& graph,
   ctx.report.outer_iterations = 0;
   ctx.report.total_newton_iterations = 0;
 
+  const std::size_t n = cycle.length();
   // Theorem (Section IV): no arbitrage under MaxMax ⇒ none under Convex.
   // Detect via the loop price product and skip the solver outright.
   // Negated-comparison form so a NaN product (corrupted reserves) lands
   // here as "no opportunity" instead of falling through to the solver.
-  if (!(cycle.price_product(graph) > 1.0 + options.no_arbitrage_margin)) {
+  if (!(cycle.price_product(graph) > 1.0 + kNoArbitrageMargin)) {
     // The warm slot is deliberately KEPT. A profitless visit proves the
     // current state has a zero optimum, not that the cached iterate is
     // bad: when the loop swings profitable again the previous interior
@@ -252,242 +102,62 @@ Result<ConvexSolution> solve_convex(const graph::TokenGraph& graph,
     // iterate, falling back to cold). Invalidating here is what starved
     // the streaming warm-hit rate — every gated visit forced the next
     // profitable solve cold.
-    return zero_solution(cycle);
+    return make_solution(cycle, std::vector<double>(n, 0.0),
+                         std::vector<double>(n, 0.0),
+                         std::vector<double>(n, 0.0));
   }
-
-  // Mixed loops (any non-CPMM hop) take the same barrier path through
-  // the analytic per-kind hop kernels, unless the fast path is disabled
-  // or the full transcription was requested (the per-kind kernels are
-  // wired into the reduced form only).
   const bool mixed = !cycle.all_cpmm(graph);
-  if (mixed &&
-      (!options.use_mixed_fast_path || options.use_full_formulation)) {
-    return solve_convex_generic(graph, prices, cycle, options, ctx);
-  }
 
-  auto original_hops = make_hop_data(graph, prices, cycle);
-  if (!original_hops) return original_hops.error();
-  const std::size_t n = original_hops->size();
-  // Tick-crossing fallback: a concentrated hop pinned at (or numerically
-  // past) its range edge in the trade direction admits no input, so the
-  // cap constraint has no strict interior; the generic solver's clamped
-  // quotes handle the flat region instead.
-  if (mixed) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!((*original_hops)[i].input_cap > 0.0)) {
-        return solve_convex_generic(graph, prices, cycle, options, ctx);
-      }
-    }
-  }
-  // The barrier transcription divides by reserves and takes logs of
-  // prices; reject corrupted inputs here with a typed diagnostic instead
-  // of letting NaN propagate into the Newton iteration. On mixed loops
-  // this also catches degenerate kernel state (a stable osculating proxy
-  // blowing up on a perfectly flat curve), which the derivative-free
-  // generic solver tolerates — route there instead of erroring.
-  for (std::size_t i = 0; i < n; ++i) {
-    const LoopHopData& hop = (*original_hops)[i];
-    if (!std::isfinite(hop.reserve_in) || !std::isfinite(hop.reserve_out) ||
-        !std::isfinite(hop.price_in) || !std::isfinite(hop.price_out) ||
-        !std::isfinite(hop.gamma) || !(hop.reserve_in > 0.0) ||
-        !(hop.reserve_out > 0.0) || !(hop.price_in > 0.0) ||
-        !(hop.price_out > 0.0) || !(hop.gamma > 0.0)) {
-      if (mixed) {
-        return solve_convex_generic(graph, prices, cycle, options, ctx);
-      }
-      return make_error(ErrorCode::kNumericFailure,
-                        "non-finite or non-positive state on hop " +
-                            std::to_string(i) + " of loop " +
-                            cycle.rotation_key());
+  // Analytic kernel: 2-pool all-CPMM loops have a closed-form optimum —
+  // no normalization, no iterations, zero gap. (Mixed length-2 loops
+  // stay on the barrier: the active-set kernel's formulas are CPMM-exact
+  // only.)
+  if (!mixed && n == 2) {
+    auto hops = make_hop_data(graph, prices, cycle);
+    if (!hops) return hops.error();
+    if (const auto closed = solve_length2_closed_form(*hops)) {
+      ctx.used_closed_form = true;
+      if (ctx.warm) ctx.warm->valid = false;  // nothing to warm-start
+      return make_solution(
+          cycle, {closed->inputs[0], closed->inputs[1]},
+          {closed->outputs[0], closed->outputs[1]},
+          {(*hops)[0].price_in, (*hops)[1].price_in});
     }
   }
 
+  auto instance = FlowInstance::from_cycle(graph, prices, cycle);
+  if (!instance) return instance.error();
+  auto flow = solve_flow(*instance, options, ctx);
+  if (flow) {
+    ConvexSolution solution =
+        make_solution(cycle, std::move(flow->edge_inputs),
+                      std::move(flow->edge_outputs), instance->node_weight);
+    solution.duality_gap_usd = flow->duality_gap;
+    solution.outcome.solver_iterations = flow->iterations;
+    ARB_LOG_DEBUG("convex solve: profit $" << solution.outcome.monetized_usd
+                                           << " gap $"
+                                           << solution.duality_gap_usd);
+    return solution;
+  }
+  // State the barrier cannot model — a concentrated hop pinned at its
+  // range edge (no strict interior for the cap) or degenerate kernel
+  // state (a stable osculating proxy blowing up on a flat curve) — goes
+  // to the generic solver's clamped quotes on mixed loops and is an
+  // error on CPMM ones.
+  if (flow.error().code != ErrorCode::kNumericFailure) {
+    if (!mixed) return flow.error();
+    return solve_convex_generic(graph, cycle, instance->node_weight, ctx);
+  }
   // Last rung of the containment ladder (warm → cold barrier → generic →
   // typed error): the derivative-free generic solver needs no Hessian,
   // so it survives curvature that breaks the barrier's Newton centering.
-  const auto rescue = [&](const Error& barrier_error)
-      -> Result<ConvexSolution> {
-    ctx.used_fallback = true;
-    if (ctx.warm) ctx.warm->valid = false;
-    auto rescued = solve_convex_generic(graph, prices, cycle, options, ctx);
-    if (rescued) return rescued;
-    return make_error(ErrorCode::kNumericFailure,
-                      "convex solve failed on loop " + cycle.rotation_key() +
-                          ": barrier: " + barrier_error.message +
-                          "; generic fallback: " + rescued.error().message);
-  };
-
-  ConvexSolution solution;
-  solution.outcome.kind = StrategyKind::kConvexOptimization;
-  solution.outcome.start_token = cycle.tokens().front();
-  solution.inputs.resize(n);
-  solution.outputs.resize(n);
-
-  // Analytic kernel: 2-pool all-CPMM loops under the reduced
-  // transcription have a closed-form optimum — no normalization, no
-  // iterations, zero gap. (Mixed length-2 loops stay on the barrier: the
-  // active-set kernel's formulas are CPMM-exact only.)
-  if (!mixed && !options.use_full_formulation &&
-      options.use_closed_form_length2 && n == 2) {
-    if (const auto closed = solve_length2_closed_form(*original_hops)) {
-      ctx.used_closed_form = true;
-      if (ctx.warm) ctx.warm->valid = false;  // nothing to warm-start
-      for (std::size_t i = 0; i < 2; ++i) {
-        solution.inputs[i] = closed->inputs[i];
-        solution.outputs[i] = closed->outputs[i];
-      }
-      solution.duality_gap_usd = 0.0;
-      fill_profits(*original_hops, solution.inputs, solution.outputs,
-                   solution.outcome);
-      return solution;
-    }
-  }
-
-  const LoopNormalization norm = LoopNormalization::create(*original_hops);
-  const auto hops = norm.normalize(*original_hops);
-
-  optim::BarrierOptions barrier_options = options.barrier;
-
-  if (options.use_full_formulation) {
-    const FullLoopProblem problem(hops);
-    auto start = full_interior_start(hops);
-    if (!start) {
-      // Profitable by price product but numerically interior-less:
-      // the attainable profit is indistinguishable from zero.
-      return zero_solution(cycle);
-    }
-    const optim::BarrierSolver solver(barrier_options);
-    auto status = solver.solve_into(problem, *start, ctx.workspace, ctx.report);
-    if (!status) return rescue(status.error());
-    for (std::size_t i = 0; i < n; ++i) {
-      solution.inputs[i] = std::max(0.0, ctx.report.x[i]);
-      solution.outputs[i] = std::max(0.0, ctx.report.x[n + i]);
-    }
-  } else {
-    const ReducedLoopProblem problem(hops);
-
-    // Warm start: re-express the previous optimum (raw token units) in
-    // this solve's normalization and push it strictly inside the
-    // perturbed feasible set. The restart sharpness certifies a gap of
-    // warm_restart_gap — matching the O(δ²) suboptimality the projected
-    // iterate actually has after a δ-perturbation — so the barrier skips
-    // most of the μ-climb without wedging the first centering against
-    // the moved boundary. The interior margin tracks 1/t₀ (central-path
-    // slack at the restart sharpness).
-    bool warm_used = false;
-    math::Vector& start_point = ctx.workspace.candidate;
-    if (ctx.warm && ctx.warm->valid && ctx.warm->x.size() == n) {
-      const double restart_t = std::max(
-          options.barrier.initial_t,
-          std::min(static_cast<double>(problem.num_inequalities()) /
-                       options.warm_restart_gap,
-                   ctx.warm->t / options.barrier.mu));
-      const double margin = std::clamp(1.0 / restart_t, 1e-9, 1e-3);
-      start_point.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        start_point[i] = ctx.warm->x[i] / norm.token_unit[i];
-      }
-      if (project_interior(hops, start_point, margin) &&
-          problem.strictly_feasible(start_point)) {
-        warm_used = true;
-        barrier_options.initial_t = restart_t;
-        barrier_options.gap_tolerance = std::max(
-            options.barrier.gap_tolerance, options.warm_gap_tolerance);
-        barrier_options.mu = std::max(options.barrier.mu, options.warm_mu);
-      }
-    }
-    if (!warm_used) {
-      auto start = reduced_interior_start(hops);
-      if (start) {
-        start_point = *start;
-      } else {
-        // Analytic interior construction failed although the price
-        // product says an interior exists — let phase-I search for one
-        // before declaring the loop profitless.
-        optim::Phase1Options phase1;
-        phase1.barrier = options.barrier;
-        auto found = optim::find_strictly_feasible(
-            problem, math::Vector(n, 0.0), phase1, ctx.workspace);
-        if (!found || !problem.strictly_feasible(*found)) {
-          if (ctx.warm) ctx.warm->valid = false;
-          return zero_solution(cycle);
-        }
-        start_point = *found;
-      }
-    }
-
-    const optim::BarrierSolver solver(barrier_options);
-    auto status =
-        solver.solve_into(problem, start_point, ctx.workspace, ctx.report);
-    if (warm_used && (!status || !ctx.report.centerings_converged)) {
-      // The projected warm iterate can sit close enough to the perturbed
-      // boundary that centering breaks down — either as a hard numeric
-      // failure or as inner Newton stalls that silently invalidate the
-      // m/t certificate. Both cases retry cold.
-      warm_used = false;
-      auto start = reduced_interior_start(hops);
-      if (!start) {
-        if (ctx.warm) ctx.warm->valid = false;
-        return zero_solution(cycle);
-      }
-      barrier_options.initial_t = options.barrier.initial_t;
-      barrier_options.gap_tolerance = options.barrier.gap_tolerance;
-      barrier_options.mu = options.barrier.mu;
-      const optim::BarrierSolver cold_solver(barrier_options);
-      status = cold_solver.solve_into(problem, *start, ctx.workspace,
-                                      ctx.report);
-    }
-    if (!status) return rescue(status.error());
-    ctx.warm_hit = warm_used;
-
-    for (std::size_t i = 0; i < n; ++i) {
-      solution.inputs[i] = std::max(0.0, ctx.report.x[i]);
-      solution.outputs[i] = hops[i].swap(solution.inputs[i]);
-    }
-
-    // Refresh the warm slot with this solve's terminal state, in raw
-    // token units so the cache survives the next re-normalization.
-    if (ctx.warm) {
-      ctx.warm->x.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ctx.warm->x[i] = ctx.report.x[i] * norm.token_unit[i];
-      }
-      ctx.warm->t = ctx.report.final_t;
-      ctx.warm->valid = true;
-    }
-  }
-  solution.duality_gap_usd = ctx.report.duality_gap;
-  solution.outcome.solver_iterations = ctx.report.total_newton_iterations;
-
-  // Back to the caller's token units and USD.
-  for (std::size_t i = 0; i < n; ++i) {
-    solution.inputs[i] *= norm.token_unit[i];
-    solution.outputs[i] *= norm.token_unit[(i + 1) % n];
-  }
-  solution.duality_gap_usd *= norm.price_scale;
-
-  // Plan honesty on mixed hops: the kernel output (fixed-D closed form /
-  // virtual-reserve form) can differ from the pool's own quote by the
-  // quote Newton's convergence slack, which plan_from_convex would
-  // reject as an invariant violation on small outputs. Re-quote each
-  // non-CPMM hop at the solved input so the reported outputs are exactly
-  // what execution attains.
-  if (mixed) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const LoopHopData& hop = (*original_hops)[i];
-      if (hop.kind == HopKind::kCpmm) continue;
-      solution.outputs[i] = graph.pool(hop.pool)
-                                .quote(hop.token_in, solution.inputs[i])
-                                .amount_out;
-    }
-  }
-
-  fill_profits(*original_hops, solution.inputs, solution.outputs,
-               solution.outcome);
-  ARB_LOG_DEBUG("convex solve: profit $" << solution.outcome.monetized_usd
-                                         << " gap $"
-                                         << solution.duality_gap_usd);
-  return solution;
+  ctx.used_fallback = true;
+  auto rescued = solve_convex_generic(graph, cycle, instance->node_weight, ctx);
+  if (rescued) return rescued;
+  return make_error(ErrorCode::kNumericFailure,
+                    "convex solve failed on loop " + cycle.rotation_key() +
+                        ": barrier: " + flow.error().message +
+                        "; generic fallback: " + rescued.error().message);
 }
 
 Result<ConvexSolution> solve_convex(const graph::TokenGraph& graph,

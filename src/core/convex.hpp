@@ -3,105 +3,30 @@
 /// \file convex.hpp
 /// The paper's Convex Optimization strategy (Section IV, eq. 8): relax
 /// flow conservation to inequalities so profit may be retained in any
-/// token of the loop, and solve the resulting convex program with the
-/// barrier interior-point solver.
+/// token of the loop, and solve the resulting convex program — the
+/// one-cycle instance of core/flow_nlp.hpp — with the barrier
+/// interior-point solver.
+
+#include <vector>
 
 #include "common/result.hpp"
-#include "core/generic_convex.hpp"
-#include "core/loop_nlp.hpp"
+#include "core/flow_nlp.hpp"
 #include "core/outcome.hpp"
 #include "graph/cycle.hpp"
 #include "graph/token_graph.hpp"
 #include "market/price_feed.hpp"
-#include "optim/barrier_solver.hpp"
-#include "optim/workspace.hpp"
 
 namespace arb::core {
 
-struct ConvexOptions {
-  optim::BarrierOptions barrier;
+/// The strategy's options are the flow solver's: the barrier settings.
+using ConvexOptions = FlowOptions;
 
-  /// False (default): the n-variable reduced transcription (faster,
-  /// numerically kinder). True: the 2n-variable direct transcription of
-  /// eq. (8). Both reach the same optimum (tested).
-  bool use_full_formulation = false;
-
-  /// Length-2 loops under the reduced transcription are solved by the
-  /// analytic active-set kernel (core/closed_form.hpp) instead of the
-  /// barrier solver. Agrees with the barrier optimum to ≤1e-9 relative
-  /// (tested); turn off to force the iterative path.
-  bool use_closed_form_length2 = true;
-
-  /// Loops whose price product is within this margin of 1 are declared
-  /// profitless without invoking the solver (Section IV theorem: when
-  /// MaxMax finds nothing, Convex finds nothing).
-  double no_arbitrage_margin = 1e-12;
-
-  /// Barrier sharpness for warm restarts, expressed as the duality gap
-  /// (normalized profit units) the restart t certifies: t₀ = m / gap.
-  /// After a reserve perturbation of relative size δ the old optimum is
-  /// O(δ²) suboptimal, so resuming sharper than this wedges the first
-  /// centering against the perturbed boundary (Newton crawls and the m/t
-  /// certificate goes stale). 3e-2 absorbs reserve moves up to a few
-  /// percent — including loops hugging the profitability boundary, whose
-  /// projected restarts sit closest to the constraints and stall first —
-  /// at the cost of roughly one extra μ-step versus a sharper resume; it
-  /// is what holds the streaming warm-hit rate above 80%. The restart t
-  /// is additionally capped at one μ-step below the previous terminal
-  /// sharpness and floored at barrier.initial_t.
-  double warm_restart_gap = 3e-2;
-
-  /// Gap tolerance for warm-started solves (normalized units: relative
-  /// to the loop's profit scale). The cold certificate chases
-  /// barrier.gap_tolerance (1e-9); a warm resume stops its μ-climb at
-  /// this looser — still economically irrelevant — gap, saving the last
-  /// few outer iterations. Never tighter than barrier.gap_tolerance.
-  double warm_gap_tolerance = 1e-6;
-
-  /// Outer μ for warm resumes. A cold climb keeps μ moderate because an
-  /// off-center iterate at freshly-raised t makes centerings expensive;
-  /// a warm resume starts next to the optimum, so each centering lands
-  /// in a few Newton steps even across 100x jumps in sharpness.
-  double warm_mu = 1000.0;
-
-  /// Mixed-venue loops (any Stable/Concentrated hop) run on the barrier
-  /// interior-point solver through the analytic per-kind hop kernels
-  /// (fixed-D stable closed form, virtual-reserve concentrated form with
-  /// tick-cap constraints) — the same warm-start/workspace fast path as
-  /// all-CPMM loops. False: route every mixed loop through the
-  /// derivative-free generic solver, the pre-fast-path behavior. Either
-  /// way the generic solver remains the containment/rescue rung, and
-  /// all-CPMM loops are bit-identically unaffected by this flag.
-  bool use_mixed_fast_path = true;
-
-  /// Options for the derivative-free generic solver: the mixed-loop
-  /// route when use_mixed_fast_path is off, the tick-crossing fallback
-  /// for concentrated hops pinned at a range edge, and the rescue rung
-  /// of the containment ladder. All-CPMM loops only read this on rescue.
-  GenericConvexOptions generic;
-};
-
-/// Per-thread reusable solver state for solve_convex, plus the optional
-/// warm-start hook. A context may be reused across cycles of any length;
-/// buffers grow to the largest problem seen and then stay put, so a
-/// steady-state barrier solve allocates nothing.
-struct ConvexContext {
-  optim::SolveWorkspace workspace;
-  optim::BarrierReport report;
-
-  /// Optional per-cycle warm-start slot owned by the caller (the
-  /// streaming runtime keeps one per tracked cycle). When valid, the
-  /// previous optimum — stored in RAW token units so it survives
-  /// re-normalization — is projected back into the strict interior and
-  /// the barrier restarts at a sharpness near the previous final t.
-  /// On exit the slot is refreshed with this solve's terminal state.
-  /// Null: always cold-start.
-  optim::WarmStart* warm = nullptr;
-
-  // Per-solve outputs (valid after solve_convex returns).
-  bool warm_hit = false;          ///< warm iterate accepted this solve
+/// Per-thread reusable solver state for solve_convex: the flow solver's
+/// workspace, report and warm-start slot, plus which rung of the ladder
+/// produced the answer (valid after solve_convex returns).
+struct ConvexContext : FlowContext {
   bool used_closed_form = false;  ///< length-2 kernel bypassed the solver
-  bool used_generic = false;      ///< mixed loop went through generic_convex
+  bool used_generic = false;      ///< the generic solver produced the answer
   /// The barrier failed even from a cold start and the derivative-free
   /// generic solver rescued the solve — the last rung of the containment
   /// ladder (warm → cold barrier → generic → typed error). Feeds the
@@ -112,9 +37,9 @@ struct ConvexContext {
 /// Solution detail beyond the common StrategyOutcome.
 struct ConvexSolution {
   StrategyOutcome outcome;
-  /// Optimal inputs per hop (d_i of the reduced transcription).
+  /// Optimal input per hop (d_i, raw units of token t_i).
   std::vector<double> inputs;
-  /// Optimal outputs per hop (F_i(d_i), or out_i for the full form).
+  /// Output per hop at d_i (non-CPMM hops re-quoted from their pools).
   std::vector<double> outputs;
   /// Certified duality gap from the barrier solver (USD).
   double duality_gap_usd = 0.0;
@@ -123,19 +48,18 @@ struct ConvexSolution {
 /// Runs the Convex Optimization strategy on a loop. The rotation anchor
 /// is tokens()[0]; the optimum is rotation-invariant (tested).
 ///
-/// Dispatch: all-CPMM loops use the barrier interior-point solver (with
-/// the closed-form length-2 kernel and optional warm starts) on the
-/// analytic transcription — the fast path, bit-identical to the
-/// pre-heterogeneous scanner. Mixed loops (any StableSwap or
-/// concentrated hop) take the same barrier path through analytic
-/// per-kind hop kernels when use_mixed_fast_path is on (the default),
-/// including warm starts; they fall back to the derivative-free generic
-/// solver (core/generic_convex.hpp) when the flag is off, when the full
-/// formulation is requested, when a concentrated hop is pinned at a
-/// range edge (tick-crossing), or as the rescue rung after a barrier
-/// failure. ctx.used_generic reports which path ran; warm slots are
-/// invalidated whenever the generic path runs (its iterates don't map
-/// back to the barrier's).
+/// Ladder: a loop whose price product does not clear 1 is profitless
+/// without a solve (Section IV theorem; the warm slot is kept). A
+/// length-2 all-CPMM loop takes the analytic kernel
+/// (core/closed_form.hpp). Every other loop, CPMM or mixed, is
+/// FlowInstance::from_cycle solved by solve_flow (warm → cold → phase-I
+/// → zero when no strict interior exists). The derivative-free generic
+/// solver (core/generic_convex.hpp) answers mixed loops the barrier
+/// cannot model (a concentrated hop pinned at a range edge, degenerate
+/// kernel state) and rescues any barrier failure. ctx reports which
+/// rung ran; the warm slot is invalidated whenever the closed form or
+/// the generic solver answers (their optima do not map back to the
+/// barrier's central path).
 [[nodiscard]] Result<ConvexSolution> solve_convex(
     const graph::TokenGraph& graph, const market::CexPriceFeed& prices,
     const graph::Cycle& cycle, const ConvexOptions& options = {});

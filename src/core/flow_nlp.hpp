@@ -2,12 +2,12 @@
 
 /// \file flow_nlp.hpp
 /// Flow-form convex program over a directed sub-graph of pool traversals
-/// — the whole-graph generalization of the loop transcriptions (arXiv
-/// 2204.05238 specialized to the venues this repo models).
+/// (arXiv 2204.05238 specialized to the venues this repo models) — the
+/// one transcription the barrier solver runs, for loops and routes alike.
 ///
 /// An instance is a set of directed edges e (one pool traversal each,
-/// with the PR-9 analytic kernel F_e from core/loop_nlp.hpp) over a set
-/// of nodes v (tokens). Decision variables are the edge inputs d_e ≥ 0.
+/// with the analytic kernel F_e from core/loop_nlp.hpp) over a set of
+/// nodes v (tokens). Decision variables are the edge inputs d_e ≥ 0.
 /// Each *constrained* node enforces nonnegative surplus
 ///
 ///   Σ_{e out of v} d_e  −  Σ_{e into v} F_e(d_e)  ≤  limit_v
@@ -15,13 +15,13 @@
 /// (limit_v = 0, except the routing source where limit = budget), and
 /// the objective maximizes Σ_v w_v · surplus_v, which telescopes to the
 /// edge-separable form Σ_e [w_to(e)·F_e(d_e) − w_from(e)·d_e]. With
-/// node weights = CEX prices over one cycle this is *exactly* the
-/// reduced loop transcription (same constraint set, same objective);
-/// with w = 1 at a sink token, 0 elsewhere, and a budget at the source
-/// it is the best-execution routing program whose parallel-CPMM special
-/// case is the water-filling splitter in core/routing.hpp. Concave
-/// objective, convex feasible set — solved by the existing zero-
-/// allocation barrier/SolveWorkspace machinery.
+/// node weights = CEX prices over one cycle this is the paper's eq. (8)
+/// with the CPMM constraints substituted (solve_convex builds exactly
+/// that instance); with w = 1 at a sink token, 0 elsewhere, and a budget
+/// at the source it is the best-execution routing program whose
+/// parallel-CPMM special case is the water-filling splitter in
+/// core/routing.hpp. Concave objective, convex feasible set — solved by
+/// the zero-allocation barrier/SolveWorkspace machinery.
 
 #include <cstddef>
 #include <cstdint>
@@ -44,8 +44,8 @@ namespace arb::core {
 struct FlowInstance {
   static constexpr std::size_t kNoNode = std::numeric_limits<std::size_t>::max();
 
-  /// Directed edges; `price_in`/`price_out` on the kernels are unused
-  /// here (monetization lives in node_weight).
+  /// Directed edges. Monetization lives in node_weight; FlowProblem
+  /// copies each edge's endpoint weights into its `price_in`/`price_out`.
   std::vector<LoopHopData> edges;
   std::vector<std::size_t> edge_from;  ///< node index per edge
   std::vector<std::size_t> edge_to;    ///< node index per edge
@@ -99,7 +99,7 @@ class FlowProblem final : public optim::NlpProblem {
     return instance_.edges.size();
   }
   [[nodiscard]] std::size_t num_inequalities() const override {
-    return instance_.edges.size() + constrained_nodes_.size() + capped_.size();
+    return num_inequalities_;
   }
   [[nodiscard]] double objective(const math::Vector& d) const override;
   [[nodiscard]] math::Vector objective_gradient(
@@ -124,34 +124,48 @@ class FlowProblem final : public optim::NlpProblem {
                                math::Matrix& hess) const override;
 
   [[nodiscard]] const FlowInstance& instance() const { return instance_; }
-  [[nodiscard]] const std::vector<std::size_t>& constrained_nodes() const {
-    return constrained_nodes_;
-  }
 
  private:
-  /// Surplus-constraint value at constrained node `v` (by node index).
-  [[nodiscard]] double node_surplus_limit(std::size_t v) const {
-    return v == instance_.source ? instance_.budget : 0.0;
-  }
+  /// One term of a surplus row: +d_e for an edge leaving the node,
+  /// −F_e(d_e) for an edge entering it.
+  struct RowTerm {
+    std::size_t edge;
+    bool inflow;
+  };
 
   FlowInstance instance_;
-  std::vector<std::size_t> constrained_nodes_;  ///< node indices, in order
-  std::vector<std::vector<std::size_t>> node_out_;  ///< per node: out edges
-  std::vector<std::vector<std::size_t>> node_in_;   ///< per node: in edges
+  std::size_t num_inequalities_ = 0;
+  /// Surplus rows, flattened: row r's terms are
+  /// terms_[row_begin_[r] .. row_begin_[r + 1]), its bound row_limit_[r].
+  std::vector<std::size_t> row_begin_;
+  std::vector<RowTerm> terms_;
+  std::vector<double> row_limit_;
   std::vector<std::size_t> capped_;  ///< edges with finite input_cap
 };
 
+/// Solver options: the barrier's. core::ConvexOptions is this type.
 struct FlowOptions {
   optim::BarrierOptions barrier;
-  /// Margin (normalized units) for the strict-feasibility check on the
-  /// constructed interior start.
-  double interior_margin = 0.0;
 };
 
-/// Per-thread reusable solver state, mirroring ConvexContext.
+/// Per-thread reusable solver state plus the optional warm-start hook.
+/// A context may be reused across instances of any size; buffers grow to
+/// the largest problem seen and then stay put, so a steady-state barrier
+/// solve allocates nothing in the math layer.
 struct FlowContext {
   optim::SolveWorkspace workspace;
   optim::BarrierReport report;
+
+  /// Optional warm-start slot owned by the caller (the streaming runtime
+  /// keeps one per tracked cycle). Used on one-cycle instances: when
+  /// valid, the previous optimum — stored in RAW token units so it
+  /// survives re-normalization — is projected back into the strict
+  /// interior and the barrier restarts near the previous final
+  /// sharpness. On a successful solve the slot is refreshed with its
+  /// terminal state; it is invalidated when the instance turns out to
+  /// have no strict interior. Null: always cold-start.
+  optim::WarmStart* warm = nullptr;
+  bool warm_hit = false;  ///< the last solve ran from the warm slot
 };
 
 struct FlowSolution {
@@ -163,17 +177,20 @@ struct FlowSolution {
   double objective = 0.0;
   double duality_gap = 0.0;  ///< barrier m/t certificate, objective units
   int iterations = 0;        ///< Newton iterations
-  /// The instance was decided without invoking the solver (no profitable
-  /// chain / zero budget): the zero flow is optimal.
+  /// The zero flow is the answer without a barrier solve: no profitable
+  /// chain, a zero budget, or an arbitrage instance with no strict
+  /// interior.
   bool trivial = false;
 };
 
 /// Solves a flow instance: normalization (per-node units + objective
-/// scale, the flow generalization of LoopNormalization), Möbius-proxy
-/// marginal-flow interior start, barrier solve through ctx's workspace,
-/// denormalization + non-CPMM re-quote. Fails with kInvalidArgument on
-/// malformed instances, kInfeasible when no interior start exists, and
-/// kNumericFailure when the barrier breaks down.
+/// scale), a start point (warm projection, else the Möbius-proxy
+/// marginal-flow interior start, else phase-I), the barrier solve
+/// through ctx's workspace — retried cold when a warm start fails to
+/// center — and denormalization + non-CPMM re-quote. Fails with
+/// kInvalidArgument on malformed instances or degenerate edge state,
+/// kInfeasible on a tick-pinned edge or a routing instance without a
+/// strict interior, and kNumericFailure when the barrier breaks down.
 [[nodiscard]] Result<FlowSolution> solve_flow(const FlowInstance& instance,
                                               const FlowOptions& options,
                                               FlowContext& ctx);

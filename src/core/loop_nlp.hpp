@@ -1,30 +1,19 @@
 #pragma once
 
 /// \file loop_nlp.hpp
-/// The two convex-program transcriptions of the paper's equation (8).
+/// Per-hop analytic kernels of the paper's equation (8).
 ///
 /// Notation: the loop rotation fixes hops i = 0..n−1; hop i swaps token
 /// t_i into token t_{i+1 mod n} against reserves (x_i, y_i) with fee
 /// multiplier γ_i, so its output is F_i(d) = γ_i·d·y_i / (x_i + γ_i·d).
 /// P_i is the CEX price of t_i.
 ///
-/// ReducedLoopProblem (n variables d_i = input of hop i):
-///   The CPMM constraint of eq. (8) is active at any optimum (output is
-///   monotone in it), so out_i = F_i(d_i) can be substituted. Profit
-///   telescopes to Σ_i [P_{t_{i+1}}·F_i(d_i) − P_{t_i}·d_i]; constraints
-///   d_i ≥ 0 and flow d_{i+1} ≤ F_i(d_i). Concave objective, convex
-///   feasible set — n-dimensional.
-///
-/// FullLoopProblem (2n variables: in_i, out_i — the direct transcription):
-///   maximize Σ_i P_{t_{i+1}}·(out_i − in_{i+1})
-///   s.t. out_i ≤ F_i(in_i)        (the CPMM constraint of eq. (8),
-///                                  rewritten in its convex form — the
-///                                  bilinear (x+γ·in)(y−out) ≥ x·y defines
-///                                  the same set),
-///        in_{i+1} ≤ out_i, in_i ≥ 0.
-///
-/// Both are exposed so tests can verify they attain the same optimum.
-/// Problems implement optim::NlpProblem in minimization form (f = −profit).
+/// The CPMM constraint of eq. (8) is active at any optimum (output is
+/// monotone in it), so out_i = F_i(d_i) can be substituted: profit
+/// telescopes to Σ_i [P_{t_{i+1}}·F_i(d_i) − P_{t_i}·d_i] subject to
+/// d_i ≥ 0 and d_{i+1} ≤ F_i(d_i). core/flow_nlp.hpp transcribes that
+/// program (over any set of edges, one cycle included) for the barrier
+/// solver; the kernels here supply F_i and its derivatives.
 
 #include <cstdint>
 #include <limits>
@@ -34,7 +23,6 @@
 #include "graph/cycle.hpp"
 #include "graph/token_graph.hpp"
 #include "market/price_feed.hpp"
-#include "optim/problem.hpp"
 
 namespace arb::core {
 
@@ -45,7 +33,7 @@ enum class HopKind : std::uint8_t {
   kConcentrated = 2,  ///< CPMM form on *virtual* reserves, capped in range
 };
 
-/// Per-hop data shared by both transcriptions.
+/// Per-hop data: one directed pool traversal and its kernel state.
 ///
 /// CPMM hops use the real reserves. Concentrated hops store the virtual
 /// reserves (x_v = L/√P, y_v = L·√P oriented by trade direction), on
@@ -91,10 +79,10 @@ struct LoopHopData {
 };
 
 /// Builds the analytic kernel for one directed pool traversal (the
-/// per-kind dispatch shared by the loop transcriptions and the flow-form
-/// problem layer): CPMM real reserves / stable closed-form state +
-/// osculating proxy / concentrated virtual reserves + tick cap. Prices
-/// are left at zero — callers that monetize fill them in.
+/// per-kind dispatch behind every flow-form edge): CPMM real reserves /
+/// stable closed-form state + osculating proxy / concentrated virtual
+/// reserves + tick cap. Prices are left at zero — callers that monetize
+/// fill them in.
 /// Precondition: the pool contains both tokens and they are its two
 /// distinct sides.
 [[nodiscard]] LoopHopData make_edge_kernel(const amm::AnyPool& pool,
@@ -108,108 +96,5 @@ struct LoopHopData {
 [[nodiscard]] Result<std::vector<LoopHopData>> make_hop_data(
     const graph::TokenGraph& graph, const market::CexPriceFeed& prices,
     const graph::Cycle& cycle, std::size_t start_offset = 0);
-
-class ReducedLoopProblem final : public optim::NlpProblem {
- public:
-  explicit ReducedLoopProblem(std::vector<LoopHopData> hops);
-
-  [[nodiscard]] std::size_t dimension() const override { return hops_.size(); }
-  /// 2n base constraints (n × d_i ≥ 0, n × flow) plus one cap constraint
-  /// per hop with a finite input_cap. All-CPMM loops have no caps, so
-  /// their constraint layout — and hence the solver's arithmetic — is
-  /// unchanged from the CPMM-only transcription.
-  [[nodiscard]] std::size_t num_inequalities() const override {
-    return 2 * hops_.size() + capped_.size();
-  }
-  [[nodiscard]] double objective(const math::Vector& d) const override;
-  [[nodiscard]] math::Vector objective_gradient(
-      const math::Vector& d) const override;
-  [[nodiscard]] math::Matrix objective_hessian(
-      const math::Vector& d) const override;
-  [[nodiscard]] double constraint(std::size_t i,
-                                  const math::Vector& d) const override;
-  [[nodiscard]] math::Vector constraint_gradient(
-      std::size_t i, const math::Vector& d) const override;
-  [[nodiscard]] math::Matrix constraint_hessian(
-      std::size_t i, const math::Vector& d) const override;
-
-  // Allocation-free variants used by the solver fast path.
-  void objective_gradient_into(const math::Vector& d,
-                               math::Vector& grad) const override;
-  void objective_hessian_into(const math::Vector& d,
-                              math::Matrix& hess) const override;
-  void constraint_gradient_into(std::size_t i, const math::Vector& d,
-                                math::Vector& grad) const override;
-  void constraint_hessian_into(std::size_t i, const math::Vector& d,
-                               math::Matrix& hess) const override;
-
-  [[nodiscard]] const std::vector<LoopHopData>& hops() const { return hops_; }
-
-  /// Monetized profit (positive sign) at inputs d.
-  [[nodiscard]] double profit_usd(const math::Vector& d) const {
-    return -objective(d);
-  }
-
- private:
-  std::vector<LoopHopData> hops_;
-  /// Hop indices with finite input_cap, in hop order; constraint
-  /// 2n + j is d[capped_[j]] − cap ≤ 0.
-  std::vector<std::size_t> capped_;
-};
-
-class FullLoopProblem final : public optim::NlpProblem {
- public:
-  explicit FullLoopProblem(std::vector<LoopHopData> hops);
-
-  /// Layout: z = (in_0..in_{n−1}, out_0..out_{n−1}).
-  [[nodiscard]] std::size_t dimension() const override {
-    return 2 * hops_.size();
-  }
-  /// Constraints: n × (in ≥ 0), n × (out ≤ F(in)), n × (in_{i+1} ≤ out_i).
-  [[nodiscard]] std::size_t num_inequalities() const override {
-    return 3 * hops_.size();
-  }
-  [[nodiscard]] double objective(const math::Vector& z) const override;
-  [[nodiscard]] math::Vector objective_gradient(
-      const math::Vector& z) const override;
-  [[nodiscard]] math::Matrix objective_hessian(
-      const math::Vector& z) const override;
-  [[nodiscard]] double constraint(std::size_t i,
-                                  const math::Vector& z) const override;
-  [[nodiscard]] math::Vector constraint_gradient(
-      std::size_t i, const math::Vector& z) const override;
-  [[nodiscard]] math::Matrix constraint_hessian(
-      std::size_t i, const math::Vector& z) const override;
-
-  // Allocation-free variants used by the solver fast path.
-  void objective_gradient_into(const math::Vector& z,
-                               math::Vector& grad) const override;
-  void objective_hessian_into(const math::Vector& z,
-                              math::Matrix& hess) const override;
-  void constraint_gradient_into(std::size_t i, const math::Vector& z,
-                                math::Vector& grad) const override;
-  void constraint_hessian_into(std::size_t i, const math::Vector& z,
-                               math::Matrix& hess) const override;
-
-  [[nodiscard]] const std::vector<LoopHopData>& hops() const { return hops_; }
-  [[nodiscard]] double profit_usd(const math::Vector& z) const {
-    return -objective(z);
-  }
-
- private:
-  std::vector<LoopHopData> hops_;
-};
-
-/// Builds a strictly feasible interior start for the reduced problem:
-/// half the single-start optimum fed around the loop with a whisker of
-/// retention at each hop. Fails with kInfeasible when the loop has no
-/// interior (price product ≤ 1 ⇒ the only feasible point is 0).
-[[nodiscard]] Result<math::Vector> reduced_interior_start(
-    const std::vector<LoopHopData>& hops);
-
-/// Lifts a reduced interior point to the full problem's variables:
-/// out_i strictly between in_{i+1} and F_i(in_i).
-[[nodiscard]] Result<math::Vector> full_interior_start(
-    const std::vector<LoopHopData>& hops);
 
 }  // namespace arb::core

@@ -29,10 +29,6 @@ struct BarrierOptions {
   double gap_tolerance = 1e-9;   ///< stop when m/t below this
   int max_outer_iterations = 60;
   NewtonOptions newton;          ///< inner solver options
-  /// Post-solve least-squares refinement of the dual estimates. Improves
-  /// KKT residuals reported to tests, but allocates; the runtime hot path
-  /// turns it off (the primal solution and objective are unaffected).
-  bool refine_duals = true;
   /// Optional early exit, checked after each centering step. Used by
   /// callers that need *a* point with a property rather than the
   /// optimum — phase-I stops as soon as strict feasibility is reached,
@@ -43,7 +39,9 @@ struct BarrierOptions {
 
 struct BarrierReport {
   math::Vector x;                 ///< primal solution
-  math::Vector dual;              ///< multiplier estimates λᵢ = 1/(−t·gᵢ)
+  /// Barrier multiplier estimates λᵢ = 1/(−t·gᵢ); optim::refine_duals
+  /// (optim/kkt.hpp) sharpens them for KKT certification.
+  math::Vector dual;
   double objective = 0.0;         ///< f(x) at the solution
   double duality_gap = 0.0;       ///< m/t certificate at exit
   double final_t = 0.0;           ///< barrier sharpness at exit (warm-start seed)
@@ -73,11 +71,6 @@ class BarrierSolver {
                                   BarrierReport& report) const;
 
  private:
-  /// Post-solve least-squares dual refinement on the active set (the raw
-  /// barrier multipliers 1/(−t·gᵢ) lose precision as t grows).
-  static void refine_duals(const NlpProblem& problem, const math::Vector& x,
-                           math::Vector& dual);
-
   BarrierOptions options_;
 };
 

@@ -22,6 +22,14 @@ struct KktResiduals {
   [[nodiscard]] bool satisfied(double tolerance) const;
 };
 
+/// Least-squares refinement of barrier multiplier estimates on the
+/// (numerically) active set: the raw λᵢ = 1/(−t·gᵢ) lose precision as t
+/// grows. Keeps the estimate unless the refinement lowers the
+/// stationarity residual. Allocates; call it before evaluate_kkt when
+/// certifying a solve.
+void refine_duals(const NlpProblem& problem, const math::Vector& x,
+                  math::Vector& dual);
+
 /// Evaluates KKT residuals at (x, λ).
 [[nodiscard]] KktResiduals evaluate_kkt(const NlpProblem& problem,
                                         const math::Vector& x,

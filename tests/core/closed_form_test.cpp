@@ -6,6 +6,7 @@
 #include <random>
 
 #include "core/convex.hpp"
+#include "core/flow_nlp.hpp"
 #include "core/loop_nlp.hpp"
 #include "graph/token_graph.hpp"
 #include "market/price_feed.hpp"
@@ -103,22 +104,23 @@ TEST(ClosedFormTest, AgreesWithBarrierAcrossRandomMarkets) {
     const TwoPoolMarket m(reserve(rng), reserve(rng), reserve(rng),
                           reserve(rng), fee(rng));
 
-    ConvexOptions analytic;
-    analytic.use_closed_form_length2 = true;
-    auto fast = solve_convex(m.graph, m.prices, m.loop(), analytic);
+    ConvexContext ctx;
+    auto fast = solve_convex(m.graph, m.prices, m.loop(), {}, ctx);
     ASSERT_TRUE(fast.ok()) << "trial " << trial;
 
-    ConvexOptions iterative;
-    iterative.use_closed_form_length2 = false;
-    auto slow = solve_convex(m.graph, m.prices, m.loop(), iterative);
+    // The barrier route: the same loop as a one-cycle flow instance.
+    auto instance = FlowInstance::from_cycle(m.graph, m.prices, m.loop());
+    ASSERT_TRUE(instance.ok()) << "trial " << trial;
+    auto slow = solve_flow(*instance);
     ASSERT_TRUE(slow.ok()) << "trial " << trial;
 
-    const double scale =
-        std::max(1e-12, std::abs(slow->outcome.monetized_usd));
-    EXPECT_NEAR(fast->outcome.monetized_usd, slow->outcome.monetized_usd,
-                1e-9 * scale)
+    const double scale = std::max(1e-12, std::abs(slow->objective));
+    EXPECT_NEAR(fast->outcome.monetized_usd, slow->objective, 1e-9 * scale)
         << "trial " << trial;
-    if (slow->outcome.monetized_usd > 1e-6) ++profitable;
+    if (slow->objective > 1e-6) {
+      ++profitable;
+      EXPECT_TRUE(ctx.used_closed_form) << "trial " << trial;
+    }
   }
   // The random family must actually exercise the profitable branch.
   EXPECT_GT(profitable, 20);

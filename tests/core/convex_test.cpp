@@ -5,6 +5,7 @@
 #include "core/single_start.hpp"
 #include "math/derivative.hpp"
 #include "optim/kkt.hpp"
+#include "optim/phase1.hpp"
 #include "tests/core/fixtures.hpp"
 
 namespace arb::core {
@@ -33,10 +34,15 @@ TEST(LoopNlpTest, HopDataRespectsRotation) {
   EXPECT_DOUBLE_EQ((*hops)[0].reserve_in, 300.0);
 }
 
-TEST(LoopNlpTest, ReducedGradientsMatchNumeric) {
+/// The Section V loop as the one-cycle flow program, in raw units.
+FlowProblem section5_problem(const Section5Market& m) {
+  return FlowProblem(FlowInstance::from_cycle(m.graph, m.prices, m.loop())
+                         .value());
+}
+
+TEST(FlowLoopTest, ObjectiveGradientMatchesNumeric) {
   const Section5Market m;
-  auto hops = make_hop_data(m.graph, m.prices, m.loop());
-  const ReducedLoopProblem problem(*hops);
+  const FlowProblem problem = section5_problem(m);
   const math::Vector d{5.0, 11.0, 4.0};
   const math::Vector grad = problem.objective_gradient(d);
   for (std::size_t i = 0; i < 3; ++i) {
@@ -50,10 +56,9 @@ TEST(LoopNlpTest, ReducedGradientsMatchNumeric) {
   }
 }
 
-TEST(LoopNlpTest, ReducedHessianIsDiagonalPsd) {
+TEST(FlowLoopTest, ObjectiveHessianIsDiagonalPsd) {
   const Section5Market m;
-  auto hops = make_hop_data(m.graph, m.prices, m.loop());
-  const ReducedLoopProblem problem(*hops);
+  const FlowProblem problem = section5_problem(m);
   const math::Matrix h = problem.objective_hessian(math::Vector{5.0, 5.0, 5.0});
   for (std::size_t r = 0; r < 3; ++r) {
     for (std::size_t c = 0; c < 3; ++c) {
@@ -66,10 +71,10 @@ TEST(LoopNlpTest, ReducedHessianIsDiagonalPsd) {
   }
 }
 
-TEST(LoopNlpTest, ConstraintGradientsMatchNumeric) {
+TEST(FlowLoopTest, ConstraintGradientsMatchNumeric) {
   const Section5Market m;
-  auto hops = make_hop_data(m.graph, m.prices, m.loop());
-  const ReducedLoopProblem problem(*hops);
+  const FlowProblem problem = section5_problem(m);
+  ASSERT_EQ(problem.num_inequalities(), 6u);  // 3 × d ≥ 0, 3 surplus rows
   const math::Vector d{5.0, 11.0, 4.0};
   for (std::size_t ci = 0; ci < problem.num_inequalities(); ++ci) {
     const math::Vector grad = problem.constraint_gradient(ci, d);
@@ -85,29 +90,34 @@ TEST(LoopNlpTest, ConstraintGradientsMatchNumeric) {
   }
 }
 
-TEST(LoopNlpTest, InteriorStartIsStrictlyFeasible) {
+TEST(FlowLoopTest, SolveStartsInteriorAndEndsFeasible) {
+  // The barrier rejects a start that is not strictly feasible, so a
+  // solve that runs Newton steps proves the marginal-flow construction
+  // is interior; the denormalized optimum must be feasible for the raw
+  // program too.
   const Section5Market m;
-  auto hops = make_hop_data(m.graph, m.prices, m.loop());
-  const ReducedLoopProblem problem(*hops);
-  auto start = reduced_interior_start(*hops);
-  ASSERT_TRUE(start.ok());
-  EXPECT_TRUE(problem.strictly_feasible(*start));
+  const auto instance = FlowInstance::from_cycle(m.graph, m.prices, m.loop());
+  ASSERT_TRUE(instance.ok());
+  auto flow = solve_flow(*instance);
+  ASSERT_TRUE(flow.ok()) << flow.error().message;
+  EXPECT_FALSE(flow->trivial);
+  EXPECT_GT(flow->iterations, 0);
+  const FlowProblem problem(*instance);
+  math::Vector d(flow->edge_inputs.size());
+  for (std::size_t e = 0; e < d.size(); ++e) d[e] = flow->edge_inputs[e];
+  EXPECT_LE(problem.max_violation(d), 1e-9);
 }
 
-TEST(LoopNlpTest, FullInteriorStartIsStrictlyFeasible) {
-  const Section5Market m;
-  auto hops = make_hop_data(m.graph, m.prices, m.loop());
-  const FullLoopProblem problem(*hops);
-  auto start = full_interior_start(*hops);
-  ASSERT_TRUE(start.ok());
-  EXPECT_TRUE(problem.strictly_feasible(*start));
-}
-
-TEST(LoopNlpTest, NoInteriorWithoutArbitrage) {
+TEST(FlowLoopTest, NoInteriorWithoutArbitrage) {
+  // Phase-I certifies that a loop without arbitrage has no strictly
+  // feasible point, so the zero flow is its only (and optimal) plan.
   const NoArbMarket m;
-  auto hops = make_hop_data(m.graph, m.prices, m.loop());
-  EXPECT_FALSE(reduced_interior_start(*hops).ok());
-  EXPECT_FALSE(full_interior_start(*hops).ok());
+  const FlowProblem problem(
+      FlowInstance::from_cycle(m.graph, m.prices, m.loop()).value());
+  auto found =
+      optim::find_strictly_feasible(problem, math::Vector(3, 0.0));
+  ASSERT_FALSE(found.ok());
+  EXPECT_EQ(found.error().code, ErrorCode::kInfeasible);
 }
 
 TEST(ConvexTest, PaperExampleValue) {
@@ -134,22 +144,6 @@ TEST(ConvexTest, PaperExamplePlanAmounts) {
   EXPECT_NEAR(solution->outcome.profits[0].amount, 0.0, 0.05);
   EXPECT_NEAR(solution->outcome.profits[1].amount, 5.0, 0.2);
   EXPECT_NEAR(solution->outcome.profits[2].amount, 7.7, 0.2);
-}
-
-TEST(ConvexTest, FullFormulationMatchesReduced) {
-  const Section5Market m;
-  ConvexOptions reduced;
-  ConvexOptions full;
-  full.use_full_formulation = true;
-  auto a = solve_convex(m.graph, m.prices, m.loop(), reduced);
-  auto b = solve_convex(m.graph, m.prices, m.loop(), full);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_NEAR(a->outcome.monetized_usd, b->outcome.monetized_usd, 0.01);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(a->inputs[i], b->inputs[i], 0.05) << "hop " << i;
-    EXPECT_NEAR(a->outputs[i], b->outputs[i], 0.05) << "hop " << i;
-  }
 }
 
 TEST(ConvexTest, BeatsOrMatchesMaxMax) {
@@ -192,19 +186,18 @@ TEST(ConvexTest, NoArbitrageGivesExactZero) {
 
 TEST(ConvexTest, SolutionSatisfiesKkt) {
   const Section5Market m;
-  auto hops = make_hop_data(m.graph, m.prices, m.loop());
-  const ReducedLoopProblem problem(*hops);
-  ConvexOptions options;
+  const FlowProblem problem = section5_problem(m);
+  optim::Phase1Options options;
   options.barrier.gap_tolerance = 1e-10;
-  const optim::BarrierSolver solver(options.barrier);
-  auto start = reduced_interior_start(*hops);
-  ASSERT_TRUE(start.ok());
-  auto report = solver.solve(problem, *start);
-  ASSERT_TRUE(report.ok());
+  auto report =
+      optim::solve_with_phase1(problem, math::Vector(3, 0.0), options);
+  ASSERT_TRUE(report.ok()) << report.error().message;
+  optim::refine_duals(problem, report->x, report->dual);
   const optim::KktResiduals kkt =
       optim::evaluate_kkt(problem, report->x, report->dual);
   // Scale: prices up to $20, reserves hundreds → residual 1e-4 is tight.
   EXPECT_TRUE(kkt.satisfied(1e-4)) << "worst residual " << kkt.worst();
+  EXPECT_NEAR(-report->objective, 206.15, 0.05);
 }
 
 TEST(ConvexTest, FlowConstraintsActiveOnlyWhereNoProfitRetained) {

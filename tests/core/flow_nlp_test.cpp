@@ -1,7 +1,7 @@
 // Flow-form problem layer: finite-difference checks of the NLP
-// transcription, builder validation, one-cycle equivalence with the
-// loop solver, routing instances against independent 1-D optima, and
-// the attribution/trivial/infeasible edge cases.
+// transcription (routing and one-cycle instances), builder validation,
+// routing instances against independent 1-D optima, and the
+// attribution/trivial/infeasible edge cases.
 
 #include "core/flow_nlp.hpp"
 
@@ -10,7 +10,6 @@
 #include <cmath>
 #include <vector>
 
-#include "core/convex.hpp"
 #include "core/fixtures.hpp"
 #include "core/loop_nlp.hpp"
 #include "core/routing.hpp"
@@ -43,29 +42,26 @@ struct SwapMarket {
 
 // ---- Transcription: finite-difference consistency ----------------------
 
-TEST(FlowProblemTest, GradientAndHessianMatchFiniteDifferences) {
-  SwapMarket m;
-  auto instance = FlowInstance::for_swap(
-      m.graph, m.a, m.b, {{m.direct1}, {m.leg_ac, m.leg_cb}}, 50.0);
-  ASSERT_TRUE(instance.ok()) << instance.error().message;
-  const FlowProblem problem(*instance);
-  ASSERT_EQ(problem.dimension(), 3u);
-
-  const math::Vector d{3.0, 5.0, 4.0};
+/// Central differences of the objective and of every constraint against
+/// their analytic gradients and Hessians at d.
+void expect_derivatives_match(const FlowProblem& problem,
+                              const math::Vector& d) {
   const double h = 1e-6;
+  const auto perturbed = [&](std::size_t i, double step) {
+    math::Vector p = d;
+    p[i] += step;
+    return p;
+  };
   const math::Vector grad = problem.objective_gradient(d);
   const math::Matrix hess = problem.objective_hessian(d);
   for (std::size_t i = 0; i < d.size(); ++i) {
-    math::Vector up = d;
-    math::Vector dn = d;
-    up[i] += h;
-    dn[i] -= h;
-    const double fd =
-        (problem.objective(up) - problem.objective(dn)) / (2.0 * h);
+    const double fd = (problem.objective(perturbed(i, h)) -
+                       problem.objective(perturbed(i, -h))) /
+                      (2.0 * h);
     EXPECT_NEAR(grad[i], fd, 1e-5 * std::max(1.0, std::abs(fd)))
         << "gradient component " << i;
-    const math::Vector gu = problem.objective_gradient(up);
-    const math::Vector gd = problem.objective_gradient(dn);
+    const math::Vector gu = problem.objective_gradient(perturbed(i, h));
+    const math::Vector gd = problem.objective_gradient(perturbed(i, -h));
     for (std::size_t j = 0; j < d.size(); ++j) {
       const double fd2 = (gu[j] - gd[j]) / (2.0 * h);
       EXPECT_NEAR(hess(j, i), fd2, 1e-4 * std::max(1.0, std::abs(fd2)))
@@ -75,18 +71,53 @@ TEST(FlowProblemTest, GradientAndHessianMatchFiniteDifferences) {
 
   for (std::size_t k = 0; k < problem.num_inequalities(); ++k) {
     const math::Vector cg = problem.constraint_gradient(k, d);
+    const math::Matrix ch = problem.constraint_hessian(k, d);
     for (std::size_t i = 0; i < d.size(); ++i) {
-      math::Vector up = d;
-      math::Vector dn = d;
-      up[i] += h;
-      dn[i] -= h;
-      const double fd =
-          (problem.constraint(k, up) - problem.constraint(k, dn)) /
-          (2.0 * h);
+      const double fd = (problem.constraint(k, perturbed(i, h)) -
+                         problem.constraint(k, perturbed(i, -h))) /
+                        (2.0 * h);
       EXPECT_NEAR(cg[i], fd, 1e-5 * std::max(1.0, std::abs(fd)))
           << "constraint " << k << " component " << i;
+      const math::Vector gu = problem.constraint_gradient(k, perturbed(i, h));
+      const math::Vector gd = problem.constraint_gradient(k, perturbed(i, -h));
+      for (std::size_t j = 0; j < d.size(); ++j) {
+        const double fd2 = (gu[j] - gd[j]) / (2.0 * h);
+        EXPECT_NEAR(ch(j, i), fd2, 1e-4 * std::max(1.0, std::abs(fd2)))
+            << "constraint " << k << " hessian (" << j << "," << i << ")";
+      }
     }
   }
+}
+
+TEST(FlowProblemTest, GradientAndHessianMatchFiniteDifferences) {
+  SwapMarket m;
+  auto routing = FlowInstance::for_swap(
+      m.graph, m.a, m.b, {{m.direct1}, {m.leg_ac, m.leg_cb}}, 50.0);
+  ASSERT_TRUE(routing.ok()) << routing.error().message;
+  const FlowProblem routing_problem(*routing);
+  ASSERT_EQ(routing_problem.dimension(), 3u);
+  expect_derivatives_match(routing_problem, math::Vector{3.0, 5.0, 4.0});
+
+  // One cycle A -stable-> B -concentrated-> C -CPMM-> A: every kernel
+  // kind on the surplus rows, plus the concentrated edge's cap row.
+  const PoolId conc_bc = m.graph.add_concentrated_pool(
+      m.b, m.c, /*liquidity=*/3'000.0, /*price=*/0.5, /*p_lo=*/0.2,
+      /*p_hi=*/2.0);
+  market::CexPriceFeed prices;
+  prices.set_price(m.a, 1.0);
+  prices.set_price(m.b, 0.5);
+  prices.set_price(m.c, 1.1);
+  const graph::Cycle cycle =
+      *graph::Cycle::create(m.graph, {m.a, m.b, m.c},
+                            {m.stable_ab, conc_bc, m.leg_ac});
+  auto loop = FlowInstance::from_cycle(m.graph, prices, cycle);
+  ASSERT_TRUE(loop.ok()) << loop.error().message;
+  ASSERT_EQ(loop->edges[0].kind, HopKind::kStable);
+  ASSERT_EQ(loop->edges[1].kind, HopKind::kConcentrated);
+  ASSERT_TRUE(std::isfinite(loop->edges[1].input_cap));
+  const FlowProblem loop_problem(*loop);
+  ASSERT_EQ(loop_problem.num_inequalities(), 7u);  // 3 d ≥ 0, 3 rows, 1 cap
+  expect_derivatives_match(loop_problem, math::Vector{3.0, 5.0, 4.0});
 }
 
 // ---- Builders ----------------------------------------------------------
@@ -128,24 +159,7 @@ TEST(FlowInstanceTest, ForSwapDeduplicatesSharedEdges) {
   EXPECT_EQ(instance->support[0][0], instance->support[1][0]);
 }
 
-// ---- One-cycle equivalence with the loop solver ------------------------
-
-TEST(FlowSolveTest, OneCycleMatchesConvexLoopSolver) {
-  testing::Section5Market m;
-  const graph::Cycle cycle = m.loop();
-  auto reference = solve_convex(m.graph, m.prices, cycle);
-  ASSERT_TRUE(reference.ok()) << reference.error().message;
-
-  auto instance = FlowInstance::from_cycle(m.graph, m.prices, cycle);
-  ASSERT_TRUE(instance.ok()) << instance.error().message;
-  auto flow = solve_flow(*instance);
-  ASSERT_TRUE(flow.ok()) << flow.error().message;
-  EXPECT_FALSE(flow->trivial);
-
-  const double expected = reference->outcome.monetized_usd;
-  EXPECT_NEAR(flow->objective, expected,
-              1e-6 * std::max(1.0, std::abs(expected)));
-}
+// ---- One-cycle instances -----------------------------------------------
 
 TEST(FlowSolveTest, UnprofitableCycleIsTriviallyZero) {
   testing::NoArbMarket m;

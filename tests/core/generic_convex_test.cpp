@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "amm/concentrated_pool.hpp"
 #include "amm/stable_pool.hpp"
 #include "core/convex.hpp"
+#include "graph/cycle_enumeration.hpp"
+#include "market/generator.hpp"
+#include "testkit/generic_loop.hpp"
 #include "tests/core/fixtures.hpp"
 
 namespace arb::core {
@@ -123,6 +129,40 @@ TEST(GenericConvexTest, MixedConcentratedLoopSolves) {
     const std::size_t prev = (j + 2) % 3;
     EXPECT_GE(report.outputs[prev] - report.inputs[j], -1e-6);
   }
+}
+
+TEST(GenericConvexTest, SeedsConcentratedLoopBelowQuotePrecision) {
+  // On this generated mixed market the concentrated loop
+  // 2/35;16/50;3/27; has price product 1.00115 and the barrier finds
+  // ~$0.0038, but every rotation's quote at 1e-9 of the seed scale
+  // reads negative through cancellation. A seeding search that decides
+  // profitability from that one probe returns zero after zero sweeps.
+  market::GeneratorConfig gen;
+  gen.seed = 606;
+  gen.token_count = 24;
+  gen.pool_count = 96;
+  gen.stable_fraction = 0.15;
+  gen.concentrated_fraction = 0.3;
+  gen.pool_price_noise_sigma = 0.02;
+  const market::MarketSnapshot market = market::generate_snapshot(gen);
+  const std::vector<graph::Cycle> cycles =
+      graph::enumerate_fixed_length_cycles(market.graph, 3);
+  const auto loop =
+      std::find_if(cycles.begin(), cycles.end(), [](const graph::Cycle& c) {
+        return c.rotation_key() == "2/35;16/50;3/27;";
+      });
+  ASSERT_NE(loop, cycles.end());
+
+  const auto barrier =
+      solve_convex(market.graph, market.prices, *loop).value();
+  ASSERT_GT(barrier.outcome.monetized_usd, 0.003);
+  optim::SolveWorkspace ws;
+  const auto generic =
+      testkit::solve_loop_generic(market.graph, market.prices, *loop, ws)
+          .value();
+  EXPECT_GT(generic.sweeps, 0);
+  EXPECT_NEAR(generic.profit_usd, barrier.outcome.monetized_usd,
+              1e-6 * barrier.outcome.monetized_usd);
 }
 
 }  // namespace

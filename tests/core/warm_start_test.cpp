@@ -137,10 +137,6 @@ TEST(WarmStartTest, SlotSurvivesProfitlessVisit) {
 TEST(WarmStartTest, SteadyStateSolvesAreAllocationFree) {
   Section5Market m;
   ConvexOptions options;
-  // Dual refinement rebuilds per-constraint gradients on the heap; the
-  // documented hot-path setting turns it off (the streaming runtime only
-  // consumes the primal optimum).
-  options.barrier.refine_duals = false;
   ConvexContext ctx;
   optim::WarmStart slot;
   ctx.warm = &slot;

@@ -30,6 +30,7 @@
 #include "runtime/incremental_scanner.hpp"
 #include "runtime/replay_stream.hpp"
 #include "runtime/service.hpp"
+#include "testkit/generic_loop.hpp"
 
 namespace arb {
 namespace {
@@ -106,21 +107,17 @@ TEST(HeterogeneousVenueTest, ConvexDispatchReportsPathTaken) {
   EXPECT_FALSE(ctx.warm_hit);
   EXPECT_GT(fast->outcome.monetized_usd, 0.0);
 
-  // Turning the fast path off forces the derivative-free generic route;
-  // the two must agree on the monetized optimum.
-  core::ConvexOptions no_fast;
-  no_fast.use_mixed_fast_path = false;
-  auto generic = core::solve_convex(mixed.graph, mixed.prices, mixed.loop(),
-                                    no_fast, ctx);
+  // The derivative-free generic solver over the pools' own quotes must
+  // agree on the monetized optimum.
+  optim::SolveWorkspace generic_ws;
+  auto generic = testkit::solve_loop_generic(mixed.graph, mixed.prices,
+                                             mixed.loop(), generic_ws);
   ASSERT_TRUE(generic.ok());
-  EXPECT_TRUE(ctx.used_generic);
-  EXPECT_FALSE(ctx.warm_hit);
-  EXPECT_GT(generic->outcome.monetized_usd, 0.0);
-  EXPECT_NEAR(fast->outcome.monetized_usd, generic->outcome.monetized_usd,
-              1e-6 * std::max(1.0, generic->outcome.monetized_usd));
+  EXPECT_GT(generic->profit_usd, 0.0);
+  EXPECT_NEAR(fast->outcome.monetized_usd, generic->profit_usd,
+              1e-6 * std::max(1.0, generic->profit_usd));
 
-  // All-CPMM loops stay on the barrier/closed-form path; a profitable
-  // two-pool CPMM market proves the flag resets between solves.
+  // All-CPMM loops stay on the barrier/closed-form path.
   graph::TokenGraph g2;
   const TokenId a = g2.add_token("A");
   const TokenId b = g2.add_token("B");

@@ -8,9 +8,9 @@
 //     mutable mixed market; after every event, each affected mixed loop
 //     in the profitable orientation is solved warm, cold, and (on a
 //     deterministic 1-in-32 subsample — the generic route is ~100x
-//     slower, which is the point of the fast path) via the generic
-//     solver with the fast path forced off. Monetized profits must
-//     agree to ≤1e-6 relative (1e-6 USD absolute floor).
+//     slower, which is the point of the fast path) by the generic
+//     solver directly. Monetized profits must agree to ≤1e-6 relative
+//     (1e-6 USD absolute floor).
 //  2. Engine level — the same 1000+-event stream through the scanner
 //     service at shards K ∈ {1, 4} x pipeline depth ∈ {1, 2} with warm
 //     starts on: ranked sets must be bit-identical across every pair
@@ -32,6 +32,7 @@
 #include "optim/workspace.hpp"
 #include "runtime/replay_stream.hpp"
 #include "runtime/service.hpp"
+#include "testkit/generic_loop.hpp"
 
 namespace arb {
 namespace {
@@ -69,11 +70,9 @@ TEST(MixedSolverDifferentialTest, WarmColdGenericAgreeOverStreamingEvents) {
   // generic reuse their workspaces but never a warm slot.
   core::ConvexContext warm_ctx;
   core::ConvexContext cold_ctx;
-  core::ConvexContext generic_ctx;
+  optim::SolveWorkspace generic_ws;
   std::vector<optim::WarmStart> warm_slots(mixed.size());
   const core::ConvexOptions fast_options;
-  core::ConvexOptions generic_options;
-  generic_options.use_mixed_fast_path = false;
 
   runtime::ReplayStreamConfig stream_config;
   stream_config.blocks = 52;  // 52 x 20 pools = 1040 events
@@ -119,13 +118,11 @@ TEST(MixedSolverDifferentialTest, WarmColdGenericAgreeOverStreamingEvents) {
       ++compared;
 
       if (compared % 32 == 0) {
-        auto generic = core::solve_convex(market.graph, market.prices, cycle,
-                                          generic_options, generic_ctx);
+        auto generic = testkit::solve_loop_generic(
+            market.graph, market.prices, cycle, generic_ws);
         ASSERT_TRUE(generic.ok()) << generic.error().message;
-        EXPECT_TRUE(generic_ctx.used_generic);
-        expect_agree(cold->outcome.monetized_usd,
-                     generic->outcome.monetized_usd, "cold vs generic",
-                     events, i);
+        expect_agree(cold->outcome.monetized_usd, generic->profit_usd,
+                     "cold vs generic", events, i);
         ++generic_compared;
       }
     }

@@ -1,10 +1,11 @@
-// Flow-form vs convex-loop differential: a one-cycle flow instance
-// (FlowInstance::from_cycle, CEX-price node weights) is the *same*
-// convex program as the reduced loop transcription, so solve_flow and
-// solve_convex are two independent routes to one optimum. This suite
-// sweeps generated markets — all-CPMM and mixed stable/concentrated
-// mixes across several seeds — and pins their monetized profits to
-// ≤1e-6 relative agreement over 500+ profitable length-3 loops.
+// One-cycle differential: solve_convex — the barrier on the one-cycle
+// flow program (FlowInstance::from_cycle + solve_flow) — against the
+// derivative-free generic solver over the pools' own quotes, an oracle
+// that shares neither the barrier nor the analytic hop kernels. The
+// suite sweeps generated markets — all-CPMM and mixed
+// stable/concentrated mixes across several seeds — and pins their
+// monetized profits to ≤1e-6 relative agreement over 500+ profitable
+// length-3 loops.
 //
 // A second check pins the routing layer: on all-CPMM parallel path sets
 // drawn from the same markets, the flow solve must agree with the
@@ -26,6 +27,7 @@
 #include "graph/cycle.hpp"
 #include "graph/cycle_enumeration.hpp"
 #include "market/generator.hpp"
+#include "testkit/generic_loop.hpp"
 
 namespace arb {
 namespace {
@@ -43,7 +45,7 @@ struct MarketMix {
   double concentrated_fraction;
 };
 
-TEST(RoutingDifferentialTest, OneCycleFlowMatchesConvexLoopSolver) {
+TEST(RoutingDifferentialTest, OneCycleConvexMatchesGenericSolver) {
   // Six markets: two all-CPMM, two stable-heavy, two with all venues.
   const std::vector<MarketMix> mixes{
       {101, 0.0, 0.0},  {202, 0.0, 0.0},  {303, 0.3, 0.0},
@@ -51,9 +53,8 @@ TEST(RoutingDifferentialTest, OneCycleFlowMatchesConvexLoopSolver) {
   };
 
   core::ConvexContext convex_ctx;
-  core::FlowContext flow_ctx;
+  optim::SolveWorkspace generic_ws;
   const core::ConvexOptions convex_options;
-  const core::FlowOptions flow_options;
 
   std::size_t compared = 0;
   std::size_t mixed_compared = 0;
@@ -77,18 +78,15 @@ TEST(RoutingDifferentialTest, OneCycleFlowMatchesConvexLoopSolver) {
       // actually run their solves.
       if (!(cycle.price_product(market.graph) > 1.0 + 1e-9)) continue;
 
-      auto instance =
-          core::FlowInstance::from_cycle(market.graph, market.prices, cycle);
-      ASSERT_TRUE(instance.ok()) << instance.error().message;
-      auto flow = core::solve_flow(*instance, flow_options, flow_ctx);
-      ASSERT_TRUE(flow.ok()) << flow.error().message;
-
       auto convex = core::solve_convex(market.graph, market.prices, cycle,
                                        convex_options, convex_ctx);
       ASSERT_TRUE(convex.ok()) << convex.error().message;
+      auto generic = testkit::solve_loop_generic(market.graph, market.prices,
+                                                 cycle, generic_ws);
+      ASSERT_TRUE(generic.ok()) << generic.error().message;
 
-      expect_agree(flow->objective, convex->outcome.monetized_usd,
-                   "flow vs convex, cycle " + std::to_string(compared));
+      expect_agree(convex->outcome.monetized_usd, generic->profit_usd,
+                   "convex vs generic, loop " + cycle.rotation_key());
       ++compared;
       if (!cycle.all_cpmm(market.graph)) ++mixed_compared;
     }

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/loop_nlp.hpp"
+#include "core/flow_nlp.hpp"
 #include "tests/core/fixtures.hpp"
 #include "tests/optim/lambda_nlp.hpp"
 
@@ -85,12 +85,12 @@ TEST(Phase1Test, UnconstrainedProblemPassesThrough) {
 }
 
 TEST(Phase1Test, RecoversArbitrageLoopInteriorFromZero) {
-  // The reduced loop problem's natural start (the zero vector) sits ON
+  // The one-cycle flow program's natural start (the zero vector) sits ON
   // the boundary; phase-I must find the interior the analytic
   // construction finds, and the final solve must match the paper value.
   const core::testing::Section5Market m;
-  const auto hops = core::make_hop_data(m.graph, m.prices, m.loop()).value();
-  const core::ReducedLoopProblem problem(hops);
+  const core::FlowProblem problem(
+      core::FlowInstance::from_cycle(m.graph, m.prices, m.loop()).value());
   auto report = solve_with_phase1(problem, math::Vector(3, 0.0));
   ASSERT_TRUE(report.ok());
   EXPECT_NEAR(-report->objective, 206.15, 0.05);

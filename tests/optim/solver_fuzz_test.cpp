@@ -93,6 +93,7 @@ TEST_P(BarrierFuzzTest, RandomQpsSolveToKktCertificate) {
     auto report = BarrierSolver(options).solve(problem, start);
     ASSERT_TRUE(report.ok()) << report.error().to_string();
 
+    refine_duals(problem, report->x, report->dual);
     const KktResiduals kkt =
         evaluate_kkt(problem, report->x, report->dual);
     EXPECT_TRUE(kkt.satisfied(1e-4))

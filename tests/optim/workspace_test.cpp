@@ -8,39 +8,41 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
-#include "core/loop_nlp.hpp"
+#include "core/flow_nlp.hpp"
 #include "math/alloc_stats.hpp"
 #include "optim/barrier_solver.hpp"
 
 namespace arb::optim {
 namespace {
 
-/// Symmetric profitable ring of length n: every hop trades against
-/// (100, 150) reserves at unit CEX prices, so d = (1, ..., 1) is a
-/// strictly feasible interior point for the reduced transcription.
-std::vector<core::LoopHopData> ring(std::size_t n) {
-  std::vector<core::LoopHopData> hops(n);
-  for (auto& hop : hops) {
-    hop.reserve_in = 100.0;
-    hop.reserve_out = 150.0;
-    hop.gamma = 0.997;
-    hop.price_in = 1.0;
-    hop.price_out = 1.0;
+/// Symmetric profitable ring of length n: every edge trades against
+/// (100, 150) reserves at unit node weights, so d = (1, ..., 1) is a
+/// strictly feasible interior point of the one-cycle flow program.
+core::FlowProblem ring(std::size_t n) {
+  core::FlowInstance instance;
+  instance.node_tokens.resize(n);
+  instance.node_weight.assign(n, 1.0);
+  instance.node_constrained.assign(n, 1);
+  instance.support.emplace_back();
+  for (std::size_t i = 0; i < n; ++i) {
+    core::LoopHopData edge;
+    edge.reserve_in = 100.0;
+    edge.reserve_out = 150.0;
+    edge.gamma = 0.997;
+    instance.edges.push_back(edge);
+    instance.edge_from.push_back(i);
+    instance.edge_to.push_back((i + 1) % n);
+    instance.support.back().push_back(i);
   }
-  return hops;
-}
-
-BarrierOptions hot_path_options() {
-  BarrierOptions options;
-  options.refine_duals = false;  // the documented hot-path setting
-  return options;
+  return core::FlowProblem(std::move(instance));
 }
 
 TEST(SolveWorkspaceTest, SteadyStateSolvesAreAllocationFree) {
-  const core::ReducedLoopProblem problem(ring(3));
-  const BarrierSolver solver(hot_path_options());
+  const core::FlowProblem problem = ring(3);
+  const BarrierSolver solver;
   SolveWorkspace ws;
   BarrierReport report;
   const math::Vector start(3, 1.0);
@@ -57,14 +59,14 @@ TEST(SolveWorkspaceTest, SteadyStateSolvesAreAllocationFree) {
 }
 
 TEST(SolveWorkspaceTest, ReuseAcrossHeterogeneousSizesStaysAllocationFree) {
-  const BarrierSolver solver(hot_path_options());
+  const BarrierSolver solver;
   SolveWorkspace ws;
   BarrierReport report;
 
   // Warm up at the largest size; every smaller problem then fits in the
   // existing buffers.
   {
-    const core::ReducedLoopProblem largest(ring(6));
+    const core::FlowProblem largest = ring(6);
     ASSERT_TRUE(
         solver.solve_into(largest, math::Vector(6, 1.0), ws, report).ok());
   }
@@ -74,7 +76,7 @@ TEST(SolveWorkspaceTest, ReuseAcrossHeterogeneousSizesStaysAllocationFree) {
   math::reset_allocation_count();
   for (const std::size_t n : {std::size_t{2}, std::size_t{5}, std::size_t{3},
                               std::size_t{6}, std::size_t{4}}) {
-    const core::ReducedLoopProblem problem(ring(n));
+    const core::FlowProblem problem = ring(n);
     ws.candidate.assign(n, 1.0);
     ASSERT_TRUE(solver.solve_into(problem, ws.candidate, ws, report).ok())
         << n;
@@ -84,13 +86,13 @@ TEST(SolveWorkspaceTest, ReuseAcrossHeterogeneousSizesStaysAllocationFree) {
 }
 
 TEST(SolveWorkspaceTest, ReuseDoesNotChangeTheAnswer) {
-  const BarrierSolver solver(hot_path_options());
+  const BarrierSolver solver;
 
   // Fresh workspace per solve: the reference.
   std::vector<double> reference;
   for (const std::size_t n :
        {std::size_t{2}, std::size_t{4}, std::size_t{3}}) {
-    const core::ReducedLoopProblem problem(ring(n));
+    const core::FlowProblem problem = ring(n);
     SolveWorkspace ws;
     BarrierReport report;
     ASSERT_TRUE(
@@ -104,7 +106,7 @@ TEST(SolveWorkspaceTest, ReuseDoesNotChangeTheAnswer) {
   std::size_t k = 0;
   for (const std::size_t n :
        {std::size_t{2}, std::size_t{4}, std::size_t{3}}) {
-    const core::ReducedLoopProblem problem(ring(n));
+    const core::FlowProblem problem = ring(n);
     ASSERT_TRUE(
         solver.solve_into(problem, math::Vector(n, 1.0), ws, report).ok());
     EXPECT_EQ(report.objective, reference[k++]) << "size " << n;
