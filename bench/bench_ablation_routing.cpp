@@ -4,25 +4,22 @@
 // split against the best single path — splitting's edge grows with size
 // because it spreads price impact.
 
-#include "amm/path.hpp"
 #include "bench/bench_util.hpp"
 #include "core/routing.hpp"
 
 using namespace arb;
 
 int main() {
-  const TokenId a{0};
-  const TokenId b{1};
-  const TokenId c{2};
-  amm::CpmmPool direct1(PoolId{0}, a, b, 1'000.0, 2'000.0);
-  amm::CpmmPool direct2(PoolId{1}, a, b, 400.0, 900.0);
-  amm::CpmmPool leg_ac(PoolId{2}, a, c, 800.0, 800.0);
-  amm::CpmmPool leg_cb(PoolId{3}, c, b, 700.0, 1'500.0);
-  const std::vector<amm::PoolPath> paths{
-      *amm::PoolPath::create({amm::Hop{&direct1, a}}),
-      *amm::PoolPath::create({amm::Hop{&direct2, a}}),
-      *amm::PoolPath::create(
-          {amm::Hop{&leg_ac, a}, amm::Hop{&leg_cb, c}})};
+  graph::TokenGraph graph;
+  const TokenId a = graph.add_token("A");
+  const TokenId b = graph.add_token("B");
+  const TokenId c = graph.add_token("C");
+  const PoolId direct1 = graph.add_pool(a, b, 1'000.0, 2'000.0);
+  const PoolId direct2 = graph.add_pool(a, b, 400.0, 900.0);
+  const PoolId leg_ac = graph.add_pool(a, c, 800.0, 800.0);
+  const PoolId leg_cb = graph.add_pool(c, b, 700.0, 1'500.0);
+  const std::vector<std::vector<PoolId>> paths{
+      {direct1}, {direct2}, {leg_ac, leg_cb}};
 
   bench::FigureSink sink(
       "ablation_routing", "order splitting vs best single path",
@@ -30,10 +27,10 @@ int main() {
        "paths_funded"});
 
   for (double budget = 5.0; budget <= 640.0; budget *= 2.0) {
-    const auto split =
-        bench::expect_ok(core::optimal_route_split(paths, budget), "split");
+    const auto split = bench::expect_ok(
+        core::optimal_route_split(graph, a, b, paths, budget), "split");
     const double single = bench::expect_ok(
-        core::best_single_path_output(paths, budget), "single");
+        core::best_single_path_output(graph, a, b, paths, budget), "single");
     std::size_t funded = 0;
     for (double d : split.inputs) {
       if (d > 1e-9) ++funded;

@@ -36,11 +36,8 @@ int main() {
     StreamingStats profits;
     std::vector<double> sample;
     for (const graph::Cycle& loop : loops) {
-      core::SingleStartOptions options;
-      options.use_bisection = false;  // closed form; sweep is large
       const auto outcome = bench::expect_ok(
-          core::evaluate_max_max(snapshot.graph, snapshot.prices, loop,
-                                 options),
+          core::evaluate_max_max(snapshot.graph, snapshot.prices, loop),
           "maxmax");
       profits.add(outcome.monetized_usd);
       sample.push_back(outcome.monetized_usd);

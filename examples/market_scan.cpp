@@ -94,8 +94,8 @@ int main(int argc, char** argv) {
               "MaxMax$", "Convex$", "capacity", "loop TVL$");
   for (std::size_t i = 0; i < sorted.size() && i < 10; ++i) {
     const core::LoopComparison& row = *sorted[i];
-    const auto diag = core::analyze_loop(study->market.graph,
-                                         study->market.prices, row.cycle);
+    const auto diag = core::analyze_loop(
+        study->market.graph, study->market.prices, row.cycle, row.traditional);
     std::printf("%-40s %10.2f %10.2f %10.2f %9.2f%% %12.0f\n",
                 row.cycle.describe(study->market.graph).c_str(),
                 row.max_price.monetized_usd, row.max_max.monetized_usd,

@@ -30,9 +30,9 @@ int main(int argc, char** argv) {
       market::generate_snapshot(market_config);
 
   const std::vector<sim::BotSpec> bots{
-      sim::BotSpec{"maxprice", core::StrategyKind::kMaxPrice, {}},
-      sim::BotSpec{"maxmax", core::StrategyKind::kMaxMax, {}},
-      sim::BotSpec{"convex", core::StrategyKind::kConvexOptimization, {}},
+      sim::BotSpec{"maxprice", core::StrategyKind::kMaxPrice},
+      sim::BotSpec{"maxmax", core::StrategyKind::kMaxMax},
+      sim::BotSpec{"convex", core::StrategyKind::kConvexOptimization},
   };
 
   sim::CompetitionConfig config;

@@ -12,9 +12,10 @@
 /// Consequently a whole path — and in particular a whole arbitrage loop —
 /// behaves exactly like one virtual pool, and the optimal single input
 /// maximizing out(Δ) − Δ has the analytic solution Δ* = (√(a·b) − b)/c
-/// (0 when a ≤ b, i.e. when the loop's price product is ≤ 1). The paper's
-/// bisection on d out/d in = 1 solves the same equation numerically; both
-/// are implemented and cross-checked in tests.
+/// (0 when a ≤ b, i.e. when the loop's price product is ≤ 1). That closed
+/// form is the production single-start optimizer; the paper's bisection on
+/// d out/d in = 1 solves the same equation numerically and is kept as the
+/// tested reference.
 
 #include <vector>
 
@@ -25,7 +26,10 @@
 
 namespace arb::amm {
 
-/// Coefficients of out(Δ) = a·Δ/(b + c·Δ), with b > 0, a, c >= 0.
+/// Coefficients of out(Δ) = a·Δ/(b + c·Δ), with b > 0, a, c >= 0. The
+/// map is defined only up to a common factor: then_hop rescales all three
+/// by a power of two whenever b leaves [2^-128, 2^128], so read them as
+/// ratios.
 struct MobiusCoefficients {
   double a = 1.0;
   double b = 1.0;

@@ -5,15 +5,15 @@
 #include <limits>
 
 #include "amm/any_pool.hpp"
-#include "amm/generic_path.hpp"
-#include "amm/path.hpp"
-#include "core/single_start.hpp"
+#include "common/error.hpp"
 
 namespace arb::core {
 
-Result<LoopDiagnostics> analyze_loop(const graph::TokenGraph& graph,
-                                     const market::CexPriceFeed& prices,
-                                     const graph::Cycle& cycle) {
+Result<LoopDiagnostics> analyze_loop(
+    const graph::TokenGraph& graph, const market::CexPriceFeed& prices,
+    const graph::Cycle& cycle, const std::vector<StrategyOutcome>& rotations) {
+  ARB_REQUIRE(rotations.size() == cycle.length(),
+              "analyze_loop needs one outcome per rotation");
   LoopDiagnostics diag;
   diag.length = cycle.length();
   diag.price_product = cycle.price_product(graph);
@@ -34,29 +34,16 @@ Result<LoopDiagnostics> analyze_loop(const graph::TokenGraph& graph,
   }
 
   // Best rotation (MaxMax) for profit; rotation 0 for sizing.
-  SingleStartOptions options;
-  options.use_bisection = false;  // closed form: diagnostics are cheap
-  auto best = evaluate_max_max(graph, prices, cycle, options);
-  if (!best) return best.error();
-  diag.best_profit_usd = best->monetized_usd;
-
-  amm::OptimalTrade trade;
-  if (cycle.all_cpmm(graph)) {
-    trade = amm::optimize_input_analytic(cycle.path(graph, 0));
-  } else {
-    amm::GenericOptimizeOptions generic;
-    generic.initial_scale = std::max(
-        generic.initial_scale,
-        1e-3 * graph.pool(cycle.pools()[0]).reserve_of(cycle.tokens()[0]));
-    auto solved =
-        amm::optimize_input_generic(cycle.generic_path(graph, 0), generic);
-    if (!solved) return solved.error();
-    trade = *solved;
-  }
-  diag.optimal_input = trade.input;
+  diag.best_profit_usd =
+      std::max_element(rotations.begin(), rotations.end(),
+                       [](const StrategyOutcome& a, const StrategyOutcome& b) {
+                         return a.monetized_usd < b.monetized_usd;
+                       })
+          ->monetized_usd;
+  diag.optimal_input = rotations.front().input;
   diag.input_to_reserve_ratio =
-      trade.input / graph.pool(cycle.pools()[0]).reserve_of(
-                        cycle.tokens()[0]);
+      diag.optimal_input / graph.pool(cycle.pools()[0]).reserve_of(
+                               cycle.tokens()[0]);
   diag.profit_per_tvl =
       diag.loop_tvl_usd > 0.0 ? diag.best_profit_usd / diag.loop_tvl_usd
                               : 0.0;

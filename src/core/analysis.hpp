@@ -7,7 +7,10 @@
 /// loops sit deep in the near-linear region of the swap curve, where
 /// retaining profit mid-loop buys nothing).
 
+#include <vector>
+
 #include "common/result.hpp"
+#include "core/outcome.hpp"
 #include "graph/cycle.hpp"
 #include "graph/token_graph.hpp"
 #include "market/price_feed.hpp"
@@ -20,7 +23,7 @@ struct LoopDiagnostics {
   double price_product = 0.0;
   /// Mispricing margin in log space: log(price_product).
   double log_margin = 0.0;
-  /// Optimal single input (MaxMax rotation 0) in start-token units.
+  /// Optimal single input of rotation 0, in start-token units.
   double optimal_input = 0.0;
   /// Optimal input as a fraction of the first pool's input-side reserve —
   /// the "capacity utilization" of the opportunity.
@@ -35,10 +38,12 @@ struct LoopDiagnostics {
   double bottleneck_tvl_usd = 0.0;
 };
 
-/// Computes diagnostics for one loop. Fails with kNotFound when a CEX
-/// price is missing.
+/// Computes diagnostics for one loop from its already-solved rotations
+/// (evaluate_all_rotations, one outcome per rotation in rotation order);
+/// solves nothing itself. Fails with kNotFound when a CEX price is
+/// missing.
 [[nodiscard]] Result<LoopDiagnostics> analyze_loop(
     const graph::TokenGraph& graph, const market::CexPriceFeed& prices,
-    const graph::Cycle& cycle);
+    const graph::Cycle& cycle, const std::vector<StrategyOutcome>& rotations);
 
 }  // namespace arb::core

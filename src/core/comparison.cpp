@@ -7,27 +7,22 @@ namespace arb::core {
 
 Result<std::vector<LoopComparison>> compare_strategies(
     const graph::TokenGraph& graph, const market::CexPriceFeed& prices,
-    const std::vector<graph::Cycle>& loops, const ComparisonOptions& options) {
+    const std::vector<graph::Cycle>& loops) {
   std::vector<LoopComparison> results;
   results.reserve(loops.size());
   for (const graph::Cycle& cycle : loops) {
     LoopComparison row(cycle);
 
-    auto rotations =
-        evaluate_all_rotations(graph, prices, cycle, options.single_start);
+    auto rotations = evaluate_all_rotations(graph, prices, cycle);
     if (!rotations) return rotations.error();
     row.traditional = *std::move(rotations);
 
-    auto max_price =
-        evaluate_max_price(graph, prices, cycle, options.single_start);
+    auto max_price = max_price_of(row.traditional, prices);
     if (!max_price) return max_price.error();
     row.max_price = *std::move(max_price);
+    row.max_max = max_max_of(row.traditional);
 
-    auto max_max = evaluate_max_max(graph, prices, cycle, options.single_start);
-    if (!max_max) return max_max.error();
-    row.max_max = *std::move(max_max);
-
-    auto convex = solve_convex(graph, prices, cycle, options.convex);
+    auto convex = solve_convex(graph, prices, cycle);
     if (!convex) return convex.error();
     row.convex = *std::move(convex);
 
@@ -38,8 +33,7 @@ Result<std::vector<LoopComparison>> compare_strategies(
 
 Result<MarketStudy> run_market_study(const market::MarketSnapshot& snapshot,
                                      std::size_t loop_length,
-                                     const market::PoolFilter& filter,
-                                     const ComparisonOptions& options) {
+                                     const market::PoolFilter& filter) {
   MarketStudy study;
   study.market = snapshot.filtered(filter);
   ARB_LOG_INFO("market study: filtered to "
@@ -54,8 +48,7 @@ Result<MarketStudy> run_market_study(const market::MarketSnapshot& snapshot,
                                 << arbitrage.size() << " arbitrage loops");
 
   auto comparisons = compare_strategies(study.market.graph,
-                                        study.market.prices, arbitrage,
-                                        options);
+                                        study.market.prices, arbitrage);
   if (!comparisons) return comparisons.error();
   study.loops = *std::move(comparisons);
   return study;

@@ -28,17 +28,12 @@ struct LoopComparison {
   explicit LoopComparison(graph::Cycle c) : cycle(std::move(c)) {}
 };
 
-struct ComparisonOptions {
-  SingleStartOptions single_start;
-  ConvexOptions convex;
-};
-
-/// Runs all strategies on each loop. Loops are taken as-is (callers
-/// filter for profitability first if desired).
+/// Runs all strategies on each loop: every rotation is solved once, and
+/// MaxPrice and MaxMax are picked from those results. Loops are taken
+/// as-is (callers filter for profitability first if desired).
 [[nodiscard]] Result<std::vector<LoopComparison>> compare_strategies(
     const graph::TokenGraph& graph, const market::CexPriceFeed& prices,
-    const std::vector<graph::Cycle>& loops,
-    const ComparisonOptions& options = {});
+    const std::vector<graph::Cycle>& loops);
 
 /// A full Section VI experiment: the filtered market the loops refer to,
 /// plus the per-loop strategy comparisons.
@@ -52,7 +47,6 @@ struct MarketStudy {
 /// compare strategies on all of them.
 [[nodiscard]] Result<MarketStudy> run_market_study(
     const market::MarketSnapshot& snapshot, std::size_t loop_length,
-    const market::PoolFilter& filter = {},
-    const ComparisonOptions& options = {});
+    const market::PoolFilter& filter = {});
 
 }  // namespace arb::core

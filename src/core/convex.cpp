@@ -1,10 +1,8 @@
 #include "core/convex.hpp"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
-#include "amm/any_pool.hpp"
 #include "common/logging.hpp"
 #include "core/closed_form.hpp"
 #include "core/generic_convex.hpp"
@@ -39,31 +37,17 @@ ConvexSolution make_solution(const graph::Cycle& cycle,
   return solution;
 }
 
-/// Generic route: eq. (8) sized by the derivative-free coordinate solver
-/// over the pools' own quotes. No duality certificate (the gap reported
-/// is 0) and no warm start: its iterates don't map back to the barrier's
-/// central path, so a cached warm slot is meaningless afterwards.
+/// Generic route: eq. (8) sized by the derivative-free solver over the
+/// pools' own quotes. No duality certificate (the gap reported is 0) and
+/// no warm start: its iterates don't map back to the barrier's central
+/// path, so a cached warm slot is meaningless afterwards.
 Result<ConvexSolution> solve_convex_generic(
-    const graph::TokenGraph& graph, const graph::Cycle& cycle,
-    const std::vector<double>& token_prices, ConvexContext& ctx) {
+    const graph::TokenGraph& graph, const market::CexPriceFeed& prices,
+    const graph::Cycle& cycle, const std::vector<double>& token_prices,
+    ConvexContext& ctx) {
   ctx.used_generic = true;
   if (ctx.warm) ctx.warm->valid = false;
-
-  const std::size_t n = cycle.length();
-  std::vector<GenericHop> hops(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    hops[i] = GenericHop{
-        amm::swap_fn(graph.pool(cycle.pools()[i]), cycle.tokens()[i]),
-        token_prices[i]};
-  }
-  GenericConvexOptions options;
-  // Seed the bracket search at a fraction of the first hop's input-side
-  // depth so the expansion starts at the right order of magnitude.
-  options.initial_scale = std::max(
-      options.initial_scale,
-      1e-3 * graph.pool(cycle.pools()[0]).reserve_of(cycle.tokens()[0]));
-
-  auto report = solve_generic_convex(hops, options, ctx.workspace);
+  auto report = solve_generic_convex(graph, prices, cycle, ctx.workspace);
   if (!report) return report.error();
   ConvexSolution solution =
       make_solution(cycle, std::move(report->inputs),
@@ -146,13 +130,15 @@ Result<ConvexSolution> solve_convex(const graph::TokenGraph& graph,
   // error on CPMM ones.
   if (flow.error().code != ErrorCode::kNumericFailure) {
     if (!mixed) return flow.error();
-    return solve_convex_generic(graph, cycle, instance->node_weight, ctx);
+    return solve_convex_generic(graph, prices, cycle, instance->node_weight,
+                                ctx);
   }
   // Last rung of the containment ladder (warm → cold barrier → generic →
   // typed error): the derivative-free generic solver needs no Hessian,
   // so it survives curvature that breaks the barrier's Newton centering.
   ctx.used_fallback = true;
-  auto rescued = solve_convex_generic(graph, cycle, instance->node_weight, ctx);
+  auto rescued =
+      solve_convex_generic(graph, prices, cycle, instance->node_weight, ctx);
   if (rescued) return rescued;
   return make_error(ErrorCode::kNumericFailure,
                     "convex solve failed on loop " + cycle.rotation_key() +

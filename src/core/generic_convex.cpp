@@ -1,19 +1,33 @@
 #include "core/generic_convex.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <limits>
 
+#include "amm/any_pool.hpp"
 #include "common/error.hpp"
 #include "math/scalar_solve.hpp"
 
 namespace arb::core {
 namespace {
 
-/// Same re-parameterization as core/coordinate.cpp, over black-box hops:
-/// head input s = d_0, forward fractions ρ_i with
-/// d_{i+1} = ρ_i · swap_i(d_i); flow constraints become the ρ box and
-/// only the wrap constraint swap_{n−1}(d_{n−1}) ≥ s couples coordinates.
+/// Sweep limits. No caller has needed other values.
+constexpr int kMaxSweeps = 200;
+/// Stop when one full sweep improves the objective by less than this
+/// (absolute, USD).
+constexpr double kImprovementTolerance = 1e-10;
+/// Golden-section tolerance per coordinate, relative to the interval.
+constexpr double kLineTolerance = 1e-12;
+
+/// State of the re-parameterized problem: head input s = d_0 plus
+/// forward fractions ρ_i ∈ [0,1] (share of hop i−1's output forwarded
+/// into hop i; the rest is retained as profit in token t_i), so
+/// d_{i+1} = ρ_i · swap_i(d_i). In these coordinates the flow
+/// constraints d_{i+1} ≤ swap_i(d_i) become the box ρ ∈ [0,1]^{n−1}, and
+/// only the wrap constraint swap_{n−1}(d_{n−1}) ≥ s still couples
+/// coordinates — exactly the structure cyclic coordinate ascent handles
+/// without jamming.
 ///
 /// The chain views the caller's hop array through a rotation index
 /// instead of holding a rotated copy — materializing n anchors over n
@@ -67,22 +81,26 @@ struct GenericChain {
   }
 };
 
+/// Largest s with wrap(s) − s >= 0 (concave in s, zero at 0): bracket
+/// rightwards from a known-feasible point, then bisect.
 double max_feasible_head(const GenericChain& chain, const math::Vector& rho,
                          double current_s, double scale) {
   const auto slack = [&](double s) { return chain.wrap_output(s, rho) - s; };
   double lo = std::max(current_s, 1e-12 * scale);
-  if (slack(lo) < 0.0) return current_s;
+  if (slack(lo) < 0.0) return current_s;  // already at the boundary
   double hi = std::max(lo * 2.0, 1e-9 * scale);
   int guard = 0;
   while (slack(hi) >= 0.0 && guard++ < 200) {
     lo = hi;
     hi *= 2.0;
-    if (hi > scale * 1e9) return hi;
+    if (hi > scale * 1e9) return hi;  // unbounded in practice; cap
   }
   auto root = math::bisect_root(slack, lo, hi);
   return root.ok() ? root->x : lo;
 }
 
+/// Smallest feasible ρ_index given the rest of the point (wrap increases
+/// with every ρ).
 double min_feasible_rho(const GenericChain& chain, double s,
                         const math::Vector& rho, std::size_t index,
                         math::Vector& scratch) {
@@ -97,8 +115,10 @@ double min_feasible_rho(const GenericChain& chain, double s,
   return root.ok() ? root->x : current;
 }
 
-/// Anchored sweep (see coordinate.cpp for the commentary; the logic is
-/// identical with swap evaluations replacing the CPMM closed form).
+/// Runs the sweep with the wrap constraint anchored at hop `anchor`'s
+/// input token. The parameterization is rotation-sensitive (retention in
+/// the anchor token is only expressible through wrap slack), so the
+/// public entry point tries every rotation and keeps the best.
 GenericConvexReport solve_anchored(const std::vector<GenericHop>& hops,
                                    std::size_t anchor,
                                    const GenericConvexOptions& options,
@@ -128,9 +148,9 @@ GenericConvexReport solve_anchored(const std::vector<GenericHop>& hops,
   const double scale = std::max(seed->input, options.initial_scale);
 
   math::ScalarSolveOptions line;
-  line.x_tolerance = options.coordinate.line_tolerance * scale;
+  line.x_tolerance = kLineTolerance * scale;
   math::ScalarSolveOptions rho_line;
-  rho_line.x_tolerance = options.coordinate.line_tolerance;
+  rho_line.x_tolerance = kLineTolerance;
 
   // Candidate buffers reused across the many line-search evaluations
   // below (rho_comp is nested inside evaluations that use rho_eval, so
@@ -140,6 +160,12 @@ GenericConvexReport solve_anchored(const std::vector<GenericHop>& hops,
   rho_eval.assign(n - 1, 0.0);
   rho_comp.assign(n - 1, 0.0);
 
+  // Compensated evaluation: profit at (s', ρ') where ρ'[comp] is
+  // re-solved so the wrap constraint holds (tight when it has to be;
+  // everything retained when it is slack even at ρ = 0). Returns −inf
+  // when no feasible compensation exists. This is what lets the sweep
+  // travel *along* the active wrap surface, where plain per-coordinate
+  // moves jam.
   const auto compensated_profit = [&](double s_value,
                                       const math::Vector& rho_value,
                                       std::size_t comp) {
@@ -174,7 +200,7 @@ GenericConvexReport solve_anchored(const std::vector<GenericHop>& hops,
     }
   };
 
-  for (int sweep = 0; sweep < options.coordinate.max_sweeps; ++sweep) {
+  for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
     report.sweeps = sweep + 1;
     const double before = best;
 
@@ -231,12 +257,14 @@ GenericConvexReport solve_anchored(const std::vector<GenericHop>& hops,
       }
     }
 
-    if (best - before < options.coordinate.improvement_tolerance) {
+    if (best - before < kImprovementTolerance) {
       report.converged = true;
       break;
     }
   }
 
+  // The pair moves track `best` through compensated evaluations; the
+  // report re-evaluates the final point so profit and amounts agree.
   const math::Vector& d = chain.inputs(s, rho);
   for (std::size_t i = 0; i < n; ++i) {
     report.inputs[i] = d[i];
@@ -290,6 +318,27 @@ Result<GenericConvexReport> solve_generic_convex(
     const std::vector<GenericHop>& hops,
     const GenericConvexOptions& options) {
   optim::SolveWorkspace workspace;
+  return solve_generic_convex(hops, options, workspace);
+}
+
+Result<GenericConvexReport> solve_generic_convex(
+    const graph::TokenGraph& graph, const market::CexPriceFeed& prices,
+    const graph::Cycle& cycle, optim::SolveWorkspace& workspace) {
+  std::vector<GenericHop> hops;
+  hops.reserve(cycle.length());
+  for (std::size_t i = 0; i < cycle.length(); ++i) {
+    auto price = prices.price(cycle.tokens()[i]);
+    if (!price) return price.error();
+    hops.push_back(GenericHop{
+        amm::swap_fn(graph.pool(cycle.pools()[i]), cycle.tokens()[i]),
+        *price});
+  }
+  // Seed the bracket search at a fraction of the first hop's input-side
+  // depth so the expansion starts at the right order of magnitude.
+  GenericConvexOptions options;
+  options.initial_scale = std::max(
+      options.initial_scale,
+      1e-3 * graph.pool(cycle.pools()[0]).reserve_of(cycle.tokens()[0]));
   return solve_generic_convex(hops, options, workspace);
 }
 

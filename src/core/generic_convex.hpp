@@ -1,23 +1,21 @@
 #pragma once
 
 /// \file generic_convex.hpp
-/// The Convex Optimization strategy for loops that cross arbitrary AMM
-/// curves (StableSwap, concentrated liquidity, ... — anything monotone,
-/// concave and 0-at-0), where the barrier solver's analytic derivatives
-/// are unavailable.
-///
-/// This is the derivative-free counterpart of core/convex.hpp: the same
-/// re-parameterized compensated coordinate ascent as core/coordinate.hpp
-/// (head input + forward fractions + constraint-following pair moves,
-/// restarted from every rotation anchor), but over black-box SwapFn hops.
-/// On all-CPMM loops it agrees with the barrier solver (tested); on mixed
-/// loops it is the only route this library offers to eq. (8)'s optimum.
+/// The library's one barrier-free solver for eq. (8), over black-box hops
+/// (StableSwap, concentrated liquidity, CPMM — anything monotone, concave
+/// and 0-at-0): a re-parameterized compensated coordinate ascent (head
+/// input + forward fractions + constraint-following pair moves, restarted
+/// from every rotation anchor). solve_convex runs it on mixed loops the
+/// barrier cannot model and as its rescue rung; the differential suites
+/// use it as the barrier's derivative-free oracle (no shared solver code).
 
 #include <vector>
 
 #include "amm/generic_path.hpp"
 #include "common/result.hpp"
-#include "core/coordinate.hpp"
+#include "graph/cycle.hpp"
+#include "graph/token_graph.hpp"
+#include "market/price_feed.hpp"
 #include "optim/workspace.hpp"
 
 namespace arb::core {
@@ -30,7 +28,6 @@ struct GenericHop {
 };
 
 struct GenericConvexOptions {
-  CoordinateOptions coordinate;
   /// Scale guess for the single-start optimizer that seeds each anchor
   /// (order of magnitude of a reasonable trade in hop-0 input tokens).
   double initial_scale = 1.0;
@@ -61,5 +58,12 @@ struct GenericConvexReport {
 [[nodiscard]] Result<GenericConvexReport> solve_generic_convex(
     const std::vector<GenericHop>& hops,
     const GenericConvexOptions& options = {});
+
+/// The loop `cycle` over the pools' own quotes, each hop priced at its
+/// input token's CEX price, seeded at 1e-3 of the first hop's input-side
+/// depth (anchor tokens()[0]). Fails with kNotFound on a missing price.
+[[nodiscard]] Result<GenericConvexReport> solve_generic_convex(
+    const graph::TokenGraph& graph, const market::CexPriceFeed& prices,
+    const graph::Cycle& cycle, optim::SolveWorkspace& workspace);
 
 }  // namespace arb::core

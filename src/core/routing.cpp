@@ -6,27 +6,13 @@
 
 #include "amm/any_pool.hpp"
 #include "amm/generic_path.hpp"
+#include "amm/path.hpp"
 #include "common/error.hpp"
 #include "core/flow_nlp.hpp"
 #include "math/scalar_solve.hpp"
 
 namespace arb::core {
 namespace {
-
-Status validate_paths(const std::vector<amm::PoolPath>& paths) {
-  if (paths.empty()) {
-    return make_error(ErrorCode::kInvalidArgument, "no paths to route over");
-  }
-  const TokenId start = paths.front().start_token();
-  const TokenId end = paths.front().end_token();
-  for (const amm::PoolPath& path : paths) {
-    if (path.start_token() != start || path.end_token() != end) {
-      return make_error(ErrorCode::kInvalidArgument,
-                        "paths must share start and end tokens");
-    }
-  }
-  return Status::success();
-}
 
 /// Input on one path at common marginal rate lambda.
 double input_at_rate(const amm::MobiusCoefficients& m, double lambda) {
@@ -36,8 +22,8 @@ double input_at_rate(const amm::MobiusCoefficients& m, double lambda) {
   return (std::sqrt(m.a * m.b / lambda) - m.b) / m.c;
 }
 
-/// The water-filling core: λ-bisection over composed Möbius maps. Both
-/// optimal_route_split overloads funnel their all-CPMM case here.
+/// The water-filling core: λ-bisection over composed Möbius maps (the
+/// all-CPMM, edge-disjoint case of optimal_route_split).
 Result<RouteSplit> water_filling_split(
     const std::vector<amm::MobiusCoefficients>& maps, double budget,
     double tolerance) {
@@ -103,18 +89,6 @@ Result<RouteSplit> water_filling_split(
 }
 
 }  // namespace
-
-Result<RouteSplit> optimal_route_split(const std::vector<amm::PoolPath>& paths,
-                                       double budget, double tolerance) {
-  if (auto valid = validate_paths(paths); !valid.ok()) return valid.error();
-  if (budget < 0.0) {
-    return make_error(ErrorCode::kInvalidArgument, "negative budget");
-  }
-  std::vector<amm::MobiusCoefficients> maps;
-  maps.reserve(paths.size());
-  for (const amm::PoolPath& path : paths) maps.push_back(path.compose());
-  return water_filling_split(maps, budget, tolerance);
-}
 
 Result<RouteSplit> optimal_route_split(
     const graph::TokenGraph& graph, TokenId token_in, TokenId token_out,
@@ -184,19 +158,6 @@ Result<RouteSplit> optimal_route_split(
   FlowContext ctx;
   return optimal_route_split(graph, token_in, token_out, paths, budget, ctx,
                              tolerance);
-}
-
-Result<double> best_single_path_output(const std::vector<amm::PoolPath>& paths,
-                                       double budget) {
-  if (auto valid = validate_paths(paths); !valid.ok()) return valid.error();
-  if (budget < 0.0) {
-    return make_error(ErrorCode::kInvalidArgument, "negative budget");
-  }
-  double best = 0.0;
-  for (const amm::PoolPath& path : paths) {
-    best = std::max(best, path.compose().evaluate(budget));
-  }
-  return best;
 }
 
 Result<double> best_single_path_output(

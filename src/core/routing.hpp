@@ -17,14 +17,13 @@
 /// reduces to a 1-D bisection on λ. Exact, no NLP solver required (the
 /// tests cross-check against the barrier solver anyway).
 ///
-/// The graph overloads generalize the same interface to mixed-venue and
-/// pool-sharing path sets: all-CPMM edge-disjoint inputs keep the
-/// water-filling special case, everything else delegates to the
-/// flow-form barrier program (core/flow_nlp.hpp).
+/// Paths are pool-id sequences over a TokenGraph, so the same interface
+/// covers mixed-venue and pool-sharing path sets: all-CPMM edge-disjoint
+/// inputs take the water-filling special case, everything else delegates
+/// to the flow-form barrier program (core/flow_nlp.hpp).
 
 #include <vector>
 
-#include "amm/path.hpp"
 #include "common/result.hpp"
 #include "common/types.hpp"
 #include "core/flow_nlp.hpp"
@@ -50,24 +49,17 @@ struct RouteSplit {
   double duality_gap = 0.0;
 };
 
-/// Splits `budget` of the common start token across `paths` to maximize
-/// the total output of the common end token. CPMM-only (PoolPath is
-/// Möbius); the graph overload below accepts any venue mix.
-/// Fails with kInvalidArgument unless all paths share start and end
-/// tokens and budget >= 0; budget 0 yields the all-zero split.
-/// `tolerance` is *relative*: λ is bisected to tolerance·λ (the bracket
-/// from the halving search is [λ, 2λ], so convergence is budget-scale
-/// invariant).
-[[nodiscard]] Result<RouteSplit> optimal_route_split(
-    const std::vector<amm::PoolPath>& paths, double budget,
-    double tolerance = 1e-12);
-
-/// Mixed-venue split: paths given as pool-id sequences token_in →
-/// token_out over the graph. All-CPMM, edge-disjoint path sets reduce to
-/// the same water-filling bisection as the PoolPath overload; any
-/// StableSwap/concentrated hop — or paths sharing a (pool, direction)
-/// edge — routes through the flow-form barrier program, with per-path
-/// amounts recovered by support attribution.
+/// Splits `budget` of token_in across `paths` (pool-id sequences
+/// token_in → token_out over the graph) to maximize the total output of
+/// token_out. All-CPMM, edge-disjoint path sets reduce to the
+/// water-filling bisection; any StableSwap/concentrated hop — or paths
+/// sharing a (pool, direction) edge — routes through the flow-form
+/// barrier program, with per-path amounts recovered by support
+/// attribution. Fails with kInvalidArgument on an empty, discontinuous or
+/// mis-ended path set or a negative budget; budget 0 yields the all-zero
+/// split. `tolerance` is *relative*: λ is bisected to tolerance·λ (the
+/// bracket from the halving search is [λ, 2λ], so convergence is
+/// budget-scale invariant).
 [[nodiscard]] Result<RouteSplit> optimal_route_split(
     const graph::TokenGraph& graph, TokenId token_in, TokenId token_out,
     const std::vector<std::vector<PoolId>>& paths, double budget,
@@ -79,13 +71,9 @@ struct RouteSplit {
     const std::vector<std::vector<PoolId>>& paths, double budget,
     double tolerance = 1e-12);
 
-/// Output of the best *unsplit* route for the same budget (baseline the
-/// ablation bench compares against).
-[[nodiscard]] Result<double> best_single_path_output(
-    const std::vector<amm::PoolPath>& paths, double budget);
-
-/// Mixed-venue overload of the unsplit baseline: evaluates each path
-/// hop-by-hop through the pools' own quotes (any venue kind).
+/// Output of the best *unsplit* route for the same budget (the baseline
+/// the ablation bench compares against): evaluates each path hop-by-hop
+/// through the pools' own quotes (any venue kind).
 [[nodiscard]] Result<double> best_single_path_output(
     const graph::TokenGraph& graph, TokenId token_in, TokenId token_out,
     const std::vector<std::vector<PoolId>>& paths, double budget);

@@ -23,14 +23,14 @@ Result<std::optional<Opportunity>> evaluate_opportunity(
     const graph::Cycle& loop, const ScannerConfig& config,
     ConvexContext& ctx) {
   Opportunity opportunity(loop);
+  std::vector<StrategyOutcome> rotations;
 
   if (config.strategy == StrategyKind::kConvexOptimization) {
     // Warm-starting is opt-in via the config flag; a caller-provided warm
     // slot is ignored (not cleared) when the flag is off.
     optim::WarmStart* warm = ctx.warm;
     if (!config.convex_warm_start) ctx.warm = nullptr;
-    auto solution =
-        solve_convex(graph, prices, loop, config.options.convex, ctx);
+    auto solution = solve_convex(graph, prices, loop, ConvexOptions{}, ctx);
     ctx.warm = warm;
     if (!solution) return solution.error();
     opportunity.outcome = solution->outcome;
@@ -38,14 +38,16 @@ Result<std::optional<Opportunity>> evaluate_opportunity(
     if (!plan) return plan.error();
     opportunity.plan = *std::move(plan);
   } else {
-    Result<StrategyOutcome> outcome =
-        config.strategy == StrategyKind::kMaxPrice
-            ? evaluate_max_price(graph, prices, loop,
-                                 config.options.single_start)
-            : evaluate_max_max(graph, prices, loop,
-                               config.options.single_start);
-    if (!outcome) return outcome.error();
-    opportunity.outcome = *std::move(outcome);
+    auto solved = evaluate_all_rotations(graph, prices, loop);
+    if (!solved) return solved.error();
+    rotations = *std::move(solved);
+    if (config.strategy == StrategyKind::kMaxPrice) {
+      auto outcome = max_price_of(rotations, prices);
+      if (!outcome) return outcome.error();
+      opportunity.outcome = *std::move(outcome);
+    } else {
+      opportunity.outcome = max_max_of(rotations);
+    }
     auto plan = plan_from_single_start(graph, loop, opportunity.outcome);
     if (!plan) return plan.error();
     opportunity.plan = *std::move(plan);
@@ -60,7 +62,12 @@ Result<std::optional<Opportunity>> evaluate_opportunity(
     return std::optional<Opportunity>{};
   }
 
-  auto diagnostics = analyze_loop(graph, prices, loop);
+  if (rotations.empty()) {
+    auto solved = evaluate_all_rotations(graph, prices, loop);
+    if (!solved) return solved.error();
+    rotations = *std::move(solved);
+  }
+  auto diagnostics = analyze_loop(graph, prices, loop, rotations);
   if (!diagnostics) return diagnostics.error();
   opportunity.diagnostics = *std::move(diagnostics);
   return std::optional<Opportunity>{std::move(opportunity)};

@@ -11,7 +11,6 @@
 
 #include "common/result.hpp"
 #include "core/analysis.hpp"
-#include "core/comparison.hpp"
 #include "core/convex.hpp"
 #include "core/gas.hpp"
 #include "core/plan.hpp"
@@ -34,7 +33,6 @@ struct ScannerConfig {
   /// Off by default so batch scans and differential tests stay on the
   /// single cold-start arithmetic path.
   bool convex_warm_start = false;
-  ComparisonOptions options;
 };
 
 /// One ranked, ready-to-execute opportunity.
@@ -52,9 +50,11 @@ struct Opportunity {
 
 /// Prices one loop under the scanner config: runs the configured
 /// strategy, nets gas, builds the plan and diagnostics. Returns an empty
-/// optional when the loop does not clear min_net_profit_usd. Exposed so
-/// the streaming runtime re-prices dirty loops through exactly the same
-/// code path as a full scan.
+/// optional when the loop does not clear min_net_profit_usd. Each of the
+/// loop's rotations is solved once (MaxPrice/MaxMax pick from them and
+/// the diagnostics read them; under Convex only loops that clear the
+/// threshold solve them). Exposed so the streaming runtime re-prices
+/// dirty loops through exactly the same code path as a full scan.
 [[nodiscard]] Result<std::optional<Opportunity>> evaluate_opportunity(
     const graph::TokenGraph& graph, const market::CexPriceFeed& prices,
     const graph::Cycle& loop, const ScannerConfig& config);

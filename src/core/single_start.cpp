@@ -11,8 +11,7 @@ namespace arb::core {
 
 Result<StrategyOutcome> evaluate_traditional(
     const graph::TokenGraph& graph, const market::CexPriceFeed& prices,
-    const graph::Cycle& cycle, std::size_t start_offset,
-    const SingleStartOptions& options) {
+    const graph::Cycle& cycle, std::size_t start_offset) {
   const std::size_t n = cycle.length();
   const TokenId start = cycle.tokens()[start_offset % n];
   auto price = prices.price(start);
@@ -20,16 +19,8 @@ Result<StrategyOutcome> evaluate_traditional(
 
   amm::OptimalTrade trade;
   if (cycle.all_cpmm(graph)) {
-    // All-CPMM: the exact Möbius closed form / bisection, unchanged.
-    const amm::PoolPath path = cycle.path(graph, start_offset % n);
-    if (options.use_bisection) {
-      auto solved = amm::optimize_input_bisection(path,
-                                                  options.bisection_tolerance);
-      if (!solved) return solved.error();
-      trade = *solved;
-    } else {
-      trade = amm::optimize_input_analytic(path);
-    }
+    // All-CPMM: the exact Möbius closed form.
+    trade = amm::optimize_input_analytic(cycle.path(graph, start_offset % n));
   } else {
     // Mixed venues: derivative-free optimizer over black-box hops,
     // bracket search seeded at a fraction of the start-side depth.
@@ -64,55 +55,63 @@ Result<StrategyOutcome> evaluate_traditional(
   return outcome;
 }
 
-Result<StrategyOutcome> evaluate_max_price(const graph::TokenGraph& graph,
-                                           const market::CexPriceFeed& prices,
-                                           const graph::Cycle& cycle,
-                                           const SingleStartOptions& options) {
-  std::size_t best_offset = 0;
+Result<std::vector<StrategyOutcome>> evaluate_all_rotations(
+    const graph::TokenGraph& graph, const market::CexPriceFeed& prices,
+    const graph::Cycle& cycle) {
+  std::vector<StrategyOutcome> outcomes;
+  outcomes.reserve(cycle.length());
+  for (std::size_t offset = 0; offset < cycle.length(); ++offset) {
+    auto outcome = evaluate_traditional(graph, prices, cycle, offset);
+    if (!outcome) return outcome.error();
+    outcomes.push_back(*std::move(outcome));
+  }
+  return outcomes;
+}
+
+Result<StrategyOutcome> max_price_of(
+    const std::vector<StrategyOutcome>& rotations,
+    const market::CexPriceFeed& prices) {
+  const StrategyOutcome* best = nullptr;
   double best_price = -1.0;
-  for (std::size_t i = 0; i < cycle.length(); ++i) {
-    auto price = prices.price(cycle.tokens()[i]);
+  for (const StrategyOutcome& candidate : rotations) {
+    auto price = prices.price(candidate.start_token);
     if (!price) return price.error();
     if (*price > best_price) {
       best_price = *price;
-      best_offset = i;
+      best = &candidate;
     }
   }
-  auto outcome = evaluate_traditional(graph, prices, cycle, best_offset,
-                                      options);
-  if (!outcome) return outcome.error();
-  outcome->kind = StrategyKind::kMaxPrice;
+  ARB_REQUIRE(best != nullptr, "MaxPrice needs at least one rotation");
+  StrategyOutcome outcome = *best;
+  outcome.kind = StrategyKind::kMaxPrice;
   return outcome;
 }
 
-Result<StrategyOutcome> evaluate_max_max(const graph::TokenGraph& graph,
-                                         const market::CexPriceFeed& prices,
-                                         const graph::Cycle& cycle,
-                                         const SingleStartOptions& options) {
-  auto rotations = evaluate_all_rotations(graph, prices, cycle, options);
-  if (!rotations) return rotations.error();
-  const StrategyOutcome* best = nullptr;
-  for (const StrategyOutcome& candidate : *rotations) {
-    if (best == nullptr || candidate.monetized_usd > best->monetized_usd) {
-      best = &candidate;
-    }
+StrategyOutcome max_max_of(const std::vector<StrategyOutcome>& rotations) {
+  ARB_REQUIRE(!rotations.empty(), "MaxMax needs at least one rotation");
+  const StrategyOutcome* best = &rotations.front();
+  for (const StrategyOutcome& candidate : rotations) {
+    if (candidate.monetized_usd > best->monetized_usd) best = &candidate;
   }
   StrategyOutcome outcome = *best;
   outcome.kind = StrategyKind::kMaxMax;
   return outcome;
 }
 
-Result<std::vector<StrategyOutcome>> evaluate_all_rotations(
-    const graph::TokenGraph& graph, const market::CexPriceFeed& prices,
-    const graph::Cycle& cycle, const SingleStartOptions& options) {
-  std::vector<StrategyOutcome> outcomes;
-  outcomes.reserve(cycle.length());
-  for (std::size_t offset = 0; offset < cycle.length(); ++offset) {
-    auto outcome = evaluate_traditional(graph, prices, cycle, offset, options);
-    if (!outcome) return outcome.error();
-    outcomes.push_back(*std::move(outcome));
-  }
-  return outcomes;
+Result<StrategyOutcome> evaluate_max_price(const graph::TokenGraph& graph,
+                                           const market::CexPriceFeed& prices,
+                                           const graph::Cycle& cycle) {
+  auto rotations = evaluate_all_rotations(graph, prices, cycle);
+  if (!rotations) return rotations.error();
+  return max_price_of(*rotations, prices);
+}
+
+Result<StrategyOutcome> evaluate_max_max(const graph::TokenGraph& graph,
+                                         const market::CexPriceFeed& prices,
+                                         const graph::Cycle& cycle) {
+  auto rotations = evaluate_all_rotations(graph, prices, cycle);
+  if (!rotations) return rotations.error();
+  return max_max_of(*rotations);
 }
 
 }  // namespace arb::core

@@ -24,8 +24,7 @@ Result<std::optional<Bid>> best_bid(const market::MarketSnapshot& market,
   for (const graph::Cycle& loop : loops) {
     Bid bid;
     if (bot.strategy == core::StrategyKind::kConvexOptimization) {
-      auto solution = core::solve_convex(market.graph, market.prices, loop,
-                                         bot.options.convex);
+      auto solution = core::solve_convex(market.graph, market.prices, loop);
       if (!solution) return solution.error();
       if (solution->outcome.monetized_usd <= 0.0) continue;
       bid.planned_usd = solution->outcome.monetized_usd;
@@ -35,10 +34,8 @@ Result<std::optional<Bid>> best_bid(const market::MarketSnapshot& market,
     } else {
       auto outcome =
           bot.strategy == core::StrategyKind::kMaxPrice
-              ? core::evaluate_max_price(market.graph, market.prices, loop,
-                                         bot.options.single_start)
-              : core::evaluate_max_max(market.graph, market.prices, loop,
-                                       bot.options.single_start);
+              ? core::evaluate_max_price(market.graph, market.prices, loop)
+              : core::evaluate_max_max(market.graph, market.prices, loop);
       if (!outcome) return outcome.error();
       if (outcome->monetized_usd <= 0.0) continue;
       bid.planned_usd = outcome->monetized_usd;

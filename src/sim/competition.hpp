@@ -23,7 +23,6 @@ namespace arb::sim {
 struct BotSpec {
   std::string name;
   core::StrategyKind strategy = core::StrategyKind::kMaxMax;
-  core::ComparisonOptions options;
 };
 
 struct CompetitionConfig {

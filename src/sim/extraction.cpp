@@ -26,8 +26,7 @@ Result<std::optional<Candidate>> evaluate(const graph::TokenGraph& graph,
   Candidate candidate;
   candidate.loop_index = index;
   if (config.strategy == core::StrategyKind::kConvexOptimization) {
-    auto solution =
-        core::solve_convex(graph, prices, loop, config.options.convex);
+    auto solution = core::solve_convex(graph, prices, loop);
     if (!solution) return solution.error();
     candidate.planned_usd = solution->outcome.monetized_usd;
     auto plan = core::plan_from_convex(graph, loop, *solution);
@@ -36,10 +35,8 @@ Result<std::optional<Candidate>> evaluate(const graph::TokenGraph& graph,
   } else {
     auto outcome =
         config.strategy == core::StrategyKind::kMaxPrice
-            ? core::evaluate_max_price(graph, prices, loop,
-                                       config.options.single_start)
-            : core::evaluate_max_max(graph, prices, loop,
-                                     config.options.single_start);
+            ? core::evaluate_max_price(graph, prices, loop)
+            : core::evaluate_max_max(graph, prices, loop);
     if (!outcome) return outcome.error();
     candidate.planned_usd = outcome->monetized_usd;
     auto plan = core::plan_from_single_start(graph, loop, *outcome);

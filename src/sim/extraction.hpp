@@ -21,7 +21,6 @@ namespace arb::sim {
 
 struct ExtractionConfig {
   core::StrategyKind strategy = core::StrategyKind::kMaxMax;
-  core::ComparisonOptions options;
   /// Loops promising less than this (USD) are not executed.
   double min_profit_usd = 1e-6;
   /// Hard cap on executions (loops re-open as others execute).

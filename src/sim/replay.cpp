@@ -84,18 +84,15 @@ Result<ReplayResult> run_replay(const market::MarketSnapshot& snapshot,
           make_error(ErrorCode::kNotFound, "unset");
       double planned_usd = 0.0;
       if (config.strategy == core::StrategyKind::kConvexOptimization) {
-        auto solution = core::solve_convex(market.graph, market.prices, loop,
-                                           config.options.convex);
+        auto solution = core::solve_convex(market.graph, market.prices, loop);
         if (!solution) return solution.error();
         planned_usd = solution->outcome.monetized_usd;
         plan = core::plan_from_convex(market.graph, loop, *solution);
       } else {
         Result<core::StrategyOutcome> outcome =
             config.strategy == core::StrategyKind::kMaxPrice
-                ? core::evaluate_max_price(market.graph, market.prices, loop,
-                                           config.options.single_start)
-                : core::evaluate_max_max(market.graph, market.prices, loop,
-                                         config.options.single_start);
+                ? core::evaluate_max_price(market.graph, market.prices, loop)
+                : core::evaluate_max_max(market.graph, market.prices, loop);
         if (!outcome) return outcome.error();
         planned_usd = outcome->monetized_usd;
         plan = core::plan_from_single_start(market.graph, loop, *outcome);

@@ -34,7 +34,6 @@ struct ReplayConfig {
   std::size_t loop_length = 3;
   /// Strategy the bot runs on the best loop it finds.
   core::StrategyKind strategy = core::StrategyKind::kMaxMax;
-  core::ComparisonOptions options;
 };
 
 struct BlockResult {

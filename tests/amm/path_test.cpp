@@ -62,6 +62,38 @@ TEST(MobiusTest, UnprofitableMapHasZeroOptimum) {
   EXPECT_DOUBLE_EQ(m.optimal_input(), 0.0);
 }
 
+TEST(MobiusTest, RescaledCompositionMatchesUnscaledFormulas) {
+  // then_hop rescales (a, b, c) by a power of two once b leaves
+  // [2^-128, 2^128]; wherever the raw product stays finite every result
+  // must be bit-identical to the unscaled composition. The Section V
+  // pools at 1e14 depth push b to 6e48 on the third hop.
+  const double depth = 1e14;
+  const CpmmPool xy{PoolId{0}, kX, kY, 100.0 * depth, 200.0 * depth};
+  const CpmmPool yz{PoolId{1}, kY, kZ, 300.0 * depth, 200.0 * depth};
+  const CpmmPool zx{PoolId{2}, kZ, kX, 200.0 * depth, 400.0 * depth};
+  const PoolPath path = *PoolPath::create(
+      {Hop{&xy, kX}, Hop{&yz, kY}, Hop{&zx, kZ}});
+  double a = 1.0;
+  double b = 1.0;
+  double c = 0.0;
+  for (const Hop& hop : path.hops()) {
+    const double x = hop.pool->reserve_of(hop.token_in);
+    const double y = hop.pool->reserve_of(hop.token_out());
+    const double gamma = hop.pool->gamma();
+    c = x * c + gamma * a;
+    a = gamma * y * a;
+    b = x * b;
+  }
+  const MobiusCoefficients m = path.compose();
+  EXPECT_GE(m.b, 0.5);  // the rescale fired
+  EXPECT_LT(m.b, 1.0);
+  EXPECT_EQ(m.rate_at_zero(), a / b);
+  EXPECT_EQ(m.optimal_input(), (std::sqrt(a * b) - b) / c);
+  for (double dx : {0.5e14, 27e14, 100e14}) {
+    EXPECT_EQ(m.evaluate(dx), a * dx / (b + c * dx)) << "dx=" << dx;
+  }
+}
+
 TEST(PathTest, CreateValidatesContinuity) {
   const Fixture f;
   // Y into the zx pool: not a member.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/single_start.hpp"
 #include "market/generator.hpp"
 #include "graph/cycle_enumeration.hpp"
 #include "tests/core/fixtures.hpp"
@@ -12,9 +13,16 @@ namespace {
 using testing::NoArbMarket;
 using testing::Section5Market;
 
+Result<LoopDiagnostics> analyze(const graph::TokenGraph& graph,
+                                const market::CexPriceFeed& prices,
+                                const graph::Cycle& loop) {
+  const auto rotations = evaluate_all_rotations(graph, prices, loop).value();
+  return analyze_loop(graph, prices, loop, rotations);
+}
+
 TEST(AnalysisTest, SectionFiveLoopDiagnostics) {
   const Section5Market m;
-  const auto diag = analyze_loop(m.graph, m.prices, m.loop()).value();
+  const auto diag = analyze(m.graph, m.prices, m.loop()).value();
   EXPECT_EQ(diag.length, 3u);
   EXPECT_NEAR(diag.price_product, 8.0 / 3.0 * 0.997 * 0.997 * 0.997, 1e-12);
   EXPECT_NEAR(diag.log_margin, std::log(diag.price_product), 1e-15);
@@ -31,7 +39,7 @@ TEST(AnalysisTest, SectionFiveLoopDiagnostics) {
 
 TEST(AnalysisTest, NoArbLoopHasZeroProfitButValidGeometry) {
   const NoArbMarket m;
-  const auto diag = analyze_loop(m.graph, m.prices, m.loop()).value();
+  const auto diag = analyze(m.graph, m.prices, m.loop()).value();
   EXPECT_LT(diag.price_product, 1.0);
   EXPECT_LT(diag.log_margin, 0.0);
   EXPECT_DOUBLE_EQ(diag.optimal_input, 0.0);
@@ -43,7 +51,9 @@ TEST(AnalysisTest, MissingPriceFails) {
   Section5Market m;
   market::CexPriceFeed partial;
   partial.set_price(m.x, 2.0);
-  auto diag = analyze_loop(m.graph, partial, m.loop());
+  const auto rotations =
+      evaluate_all_rotations(m.graph, m.prices, m.loop()).value();
+  auto diag = analyze_loop(m.graph, partial, m.loop(), rotations);
   ASSERT_FALSE(diag.ok());
   EXPECT_EQ(diag.error().code, ErrorCode::kNotFound);
 }
@@ -62,7 +72,7 @@ TEST(AnalysisTest, EmpiricalLoopsAreThin) {
   double worst_utilization = 0.0;
   for (const graph::Cycle& loop : loops) {
     const auto diag =
-        analyze_loop(snapshot.graph, snapshot.prices, loop).value();
+        analyze(snapshot.graph, snapshot.prices, loop).value();
     worst_utilization =
         std::max(worst_utilization, diag.input_to_reserve_ratio);
   }

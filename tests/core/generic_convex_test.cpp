@@ -8,9 +8,9 @@
 #include "amm/concentrated_pool.hpp"
 #include "amm/stable_pool.hpp"
 #include "core/convex.hpp"
+#include "core/single_start.hpp"
 #include "graph/cycle_enumeration.hpp"
 #include "market/generator.hpp"
-#include "testkit/generic_loop.hpp"
 #include "tests/core/fixtures.hpp"
 
 namespace arb::core {
@@ -18,6 +18,14 @@ namespace {
 
 using testing::NoArbMarket;
 using testing::Section5Market;
+
+/// The cycle overload: pools' own quotes, seeded at the first hop's depth.
+GenericConvexReport solve_cycle(const graph::TokenGraph& graph,
+                                const market::CexPriceFeed& prices,
+                                const graph::Cycle& cycle) {
+  optim::SolveWorkspace ws;
+  return solve_generic_convex(graph, prices, cycle, ws).value();
+}
 
 std::vector<GenericHop> section5_hops(const Section5Market& m) {
   return {
@@ -39,6 +47,82 @@ TEST(GenericConvexTest, MatchesBarrierOnPaperExample) {
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_NEAR(generic.inputs[i], barrier.inputs[i], 0.2) << "hop " << i;
   }
+
+  // Paper value $206.1; the cycle overload must land there too.
+  const GenericConvexReport cycle = solve_cycle(m.graph, m.prices, m.loop());
+  EXPECT_TRUE(cycle.converged);
+  EXPECT_NEAR(cycle.profit_usd, 206.15, 0.05);
+  EXPECT_NEAR(cycle.profit_usd, barrier.outcome.monetized_usd, 0.05);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_NEAR(cycle.inputs[i], barrier.inputs[i], 0.1) << "hop " << i;
+  }
+}
+
+TEST(GenericConvexTest, AtLeastMaxMax) {
+  // Each anchor is seeded at its rotation's best single-start point and
+  // only ascends, so the result dominates every rotation; on this
+  // example it also beats the global MaxMax.
+  const Section5Market m;
+  const GenericConvexReport report = solve_cycle(m.graph, m.prices, m.loop());
+  const auto max_max = evaluate_max_max(m.graph, m.prices, m.loop()).value();
+  EXPECT_GE(report.profit_usd, max_max.monetized_usd - 1e-9);
+}
+
+TEST(GenericConvexTest, AgreesWithBarrierAcrossPriceSweep) {
+  Section5Market m;
+  for (double px = 1.0; px <= 20.0; px += 2.0) {
+    m.prices.set_price(m.x, px);
+    const GenericConvexReport generic =
+        solve_cycle(m.graph, m.prices, m.loop());
+    const auto barrier = solve_convex(m.graph, m.prices, m.loop()).value();
+    EXPECT_NEAR(generic.profit_usd, barrier.outcome.monetized_usd,
+                0.01 * std::max(1.0, barrier.outcome.monetized_usd))
+        << "px=" << px;
+  }
+}
+
+TEST(GenericConvexTest, AgreesWithBarrierOnRandomLoops) {
+  market::GeneratorConfig config;
+  config.token_count = 14;
+  config.pool_count = 30;
+  config.seed = 77;
+  const auto snapshot = market::generate_snapshot(config);
+  const auto loops = graph::filter_arbitrage(
+      snapshot.graph,
+      graph::enumerate_fixed_length_cycles(snapshot.graph, 3));
+  ASSERT_FALSE(loops.empty());
+  std::size_t checked = 0;
+  for (const graph::Cycle& loop : loops) {
+    if (++checked > 12) break;
+    const GenericConvexReport generic =
+        solve_cycle(snapshot.graph, snapshot.prices, loop);
+    const auto barrier =
+        solve_convex(snapshot.graph, snapshot.prices, loop).value();
+    EXPECT_NEAR(generic.profit_usd, barrier.outcome.monetized_usd,
+                1e-4 * std::max(1.0, barrier.outcome.monetized_usd));
+  }
+}
+
+TEST(GenericConvexTest, Length4Loop) {
+  // Ring of 4 with an edge per hop.
+  graph::TokenGraph g;
+  std::vector<TokenId> tokens;
+  market::CexPriceFeed prices;
+  for (int i = 0; i < 4; ++i) {
+    tokens.push_back(g.add_token("T" + std::to_string(i)));
+    prices.set_price(tokens.back(), 1.0 + i);
+  }
+  std::vector<PoolId> pools;
+  for (int i = 0; i < 4; ++i) {
+    pools.push_back(g.add_pool(tokens[i], tokens[(i + 1) % 4], 1000.0,
+                               1015.0));
+  }
+  const auto cycle = graph::Cycle::create(g, tokens, pools).value();
+  const GenericConvexReport generic = solve_cycle(g, prices, cycle);
+  const auto barrier = solve_convex(g, prices, cycle).value();
+  EXPECT_GT(generic.profit_usd, 0.0);
+  EXPECT_NEAR(generic.profit_usd, barrier.outcome.monetized_usd,
+              1e-3 * barrier.outcome.monetized_usd);
 }
 
 TEST(GenericConvexTest, ZeroOnProfitlessLoop) {
@@ -51,6 +135,11 @@ TEST(GenericConvexTest, ZeroOnProfitlessLoop) {
   const auto report = solve_generic_convex(hops).value();
   EXPECT_DOUBLE_EQ(report.profit_usd, 0.0);
   for (double d : report.inputs) EXPECT_DOUBLE_EQ(d, 0.0);
+
+  const GenericConvexReport cycle = solve_cycle(m.graph, m.prices, m.loop());
+  EXPECT_TRUE(cycle.converged);
+  EXPECT_DOUBLE_EQ(cycle.profit_usd, 0.0);
+  for (double d : cycle.inputs) EXPECT_DOUBLE_EQ(d, 0.0);
 }
 
 TEST(GenericConvexTest, ValidationRejectsBadInputs) {
@@ -158,8 +247,7 @@ TEST(GenericConvexTest, SeedsConcentratedLoopBelowQuotePrecision) {
   ASSERT_GT(barrier.outcome.monetized_usd, 0.003);
   optim::SolveWorkspace ws;
   const auto generic =
-      testkit::solve_loop_generic(market.graph, market.prices, *loop, ws)
-          .value();
+      solve_generic_convex(market.graph, market.prices, *loop, ws).value();
   EXPECT_GT(generic.sweeps, 0);
   EXPECT_NEAR(generic.profit_usd, barrier.outcome.monetized_usd,
               1e-6 * barrier.outcome.monetized_usd);

@@ -2,38 +2,65 @@
 
 #include <gtest/gtest.h>
 
+#include "amm/any_pool.hpp"
+#include "amm/path.hpp"
 #include "common/rng.hpp"
 #include "math/scalar_solve.hpp"
 
 namespace arb::core {
 namespace {
 
-const TokenId kA{0};
-const TokenId kB{1};
-const TokenId kC{2};
+using Paths = std::vector<std::vector<PoolId>>;
+
+/// Tokens A, B, C; tests add the pools and route A -> B.
+struct RoutingMarket {
+  graph::TokenGraph graph;
+  TokenId a = graph.add_token("A");
+  TokenId b = graph.add_token("B");
+  TokenId c = graph.add_token("C");
+
+  [[nodiscard]] Result<RouteSplit> split(const Paths& paths,
+                                         double budget) const {
+    return optimal_route_split(graph, a, b, paths, budget);
+  }
+
+  [[nodiscard]] Result<double> single(const Paths& paths,
+                                      double budget) const {
+    return best_single_path_output(graph, a, b, paths, budget);
+  }
+
+  /// The path's composed Möbius map (exact for CPMM hops).
+  [[nodiscard]] amm::MobiusCoefficients compose(
+      const std::vector<PoolId>& path) const {
+    amm::MobiusCoefficients m = amm::MobiusCoefficients::identity();
+    TokenId in = a;
+    for (const PoolId id : path) {
+      const amm::CpmmPool& pool = graph.pool(id).cpmm();
+      m = m.then_hop(pool.reserve_of(in), pool.reserve_of(pool.other(in)),
+                     pool.gamma());
+      in = pool.other(in);
+    }
+    return m;
+  }
+};
 
 /// Two direct A->B pools plus a two-hop A->C->B route.
-struct RoutedMarket {
-  amm::CpmmPool direct1{PoolId{0}, kA, kB, 1'000.0, 2'000.0};
-  amm::CpmmPool direct2{PoolId{1}, kA, kB, 400.0, 900.0};
-  amm::CpmmPool leg_ac{PoolId{2}, kA, kC, 800.0, 800.0};
-  amm::CpmmPool leg_cb{PoolId{3}, kC, kB, 700.0, 1'500.0};
+struct RoutedMarket : RoutingMarket {
+  PoolId direct1 = graph.add_pool(a, b, 1'000.0, 2'000.0);
+  PoolId direct2 = graph.add_pool(a, b, 400.0, 900.0);
+  PoolId leg_ac = graph.add_pool(a, c, 800.0, 800.0);
+  PoolId leg_cb = graph.add_pool(c, b, 700.0, 1'500.0);
 
-  [[nodiscard]] std::vector<amm::PoolPath> paths() const {
-    return {*amm::PoolPath::create({amm::Hop{&direct1, kA}}),
-            *amm::PoolPath::create({amm::Hop{&direct2, kA}}),
-            *amm::PoolPath::create(
-                {amm::Hop{&leg_ac, kA}, amm::Hop{&leg_cb, kC}})};
+  [[nodiscard]] Paths paths() const {
+    return {{direct1}, {direct2}, {leg_ac, leg_cb}};
   }
 };
 
 TEST(RoutingTest, IdenticalPathsSplitEvenly) {
-  amm::CpmmPool p1(PoolId{0}, kA, kB, 1'000.0, 2'000.0);
-  amm::CpmmPool p2(PoolId{1}, kA, kB, 1'000.0, 2'000.0);
-  const std::vector<amm::PoolPath> paths{
-      *amm::PoolPath::create({amm::Hop{&p1, kA}}),
-      *amm::PoolPath::create({amm::Hop{&p2, kA}})};
-  const auto split = optimal_route_split(paths, 100.0).value();
+  RoutingMarket m;
+  const Paths paths{{m.graph.add_pool(m.a, m.b, 1'000.0, 2'000.0)},
+                    {m.graph.add_pool(m.a, m.b, 1'000.0, 2'000.0)}};
+  const auto split = m.split(paths, 100.0).value();
   EXPECT_NEAR(split.inputs[0], 50.0, 1e-6);
   EXPECT_NEAR(split.inputs[1], 50.0, 1e-6);
   EXPECT_NEAR(split.inputs[0] + split.inputs[1], 100.0, 1e-9);
@@ -42,11 +69,12 @@ TEST(RoutingTest, IdenticalPathsSplitEvenly) {
 TEST(RoutingTest, MarginalRatesEqualizeOnFundedPaths) {
   const RoutedMarket m;
   const auto paths = m.paths();
-  const auto split = optimal_route_split(paths, 150.0).value();
+  const auto split = m.split(paths, 150.0).value();
+  // All-CPMM, edge-disjoint paths take the water-filling closed form.
+  EXPECT_FALSE(split.used_flow_solver);
   for (std::size_t p = 0; p < paths.size(); ++p) {
     if (split.inputs[p] > 1e-9) {
-      const double marginal =
-          paths[p].compose().derivative(split.inputs[p]);
+      const double marginal = m.compose(paths[p]).derivative(split.inputs[p]);
       EXPECT_NEAR(marginal, split.marginal_rate,
                   1e-6 * split.marginal_rate)
           << "path " << p;
@@ -58,39 +86,36 @@ TEST(RoutingTest, BeatsEverySinglePathForLargeBudget) {
   const RoutedMarket m;
   const auto paths = m.paths();
   const double budget = 300.0;
-  const auto split = optimal_route_split(paths, budget).value();
-  const double single = best_single_path_output(paths, budget).value();
+  const auto split = m.split(paths, budget).value();
+  const double single = m.single(paths, budget).value();
   EXPECT_GT(split.total_output, single * 1.02);  // splitting pays
 }
 
 TEST(RoutingTest, TinyBudgetGoesToBestRatePath) {
   const RoutedMarket m;
-  const auto paths = m.paths();
   // Best zero-size rate: direct2 = 0.997·900/400 = 2.243.
-  const auto split = optimal_route_split(paths, 1e-6).value();
+  const auto split = m.split(m.paths(), 1e-6).value();
   EXPECT_GT(split.inputs[1], split.inputs[0]);
   EXPECT_GT(split.inputs[1], split.inputs[2]);
 }
 
 TEST(RoutingTest, ZeroBudgetYieldsZeroSplit) {
   const RoutedMarket m;
-  const auto split = optimal_route_split(m.paths(), 0.0).value();
+  const auto split = m.split(m.paths(), 0.0).value();
   for (double d : split.inputs) EXPECT_DOUBLE_EQ(d, 0.0);
   EXPECT_DOUBLE_EQ(split.total_output, 0.0);
 }
 
 TEST(RoutingTest, MatchesGoldenSectionOnTwoPaths) {
-  amm::CpmmPool p1(PoolId{0}, kA, kB, 1'000.0, 2'000.0);
-  amm::CpmmPool p2(PoolId{1}, kA, kB, 300.0, 750.0);
-  const std::vector<amm::PoolPath> paths{
-      *amm::PoolPath::create({amm::Hop{&p1, kA}}),
-      *amm::PoolPath::create({amm::Hop{&p2, kA}})};
+  RoutingMarket m;
+  const Paths paths{{m.graph.add_pool(m.a, m.b, 1'000.0, 2'000.0)},
+                    {m.graph.add_pool(m.a, m.b, 300.0, 750.0)}};
   const double budget = 120.0;
-  const auto split = optimal_route_split(paths, budget).value();
+  const auto split = m.split(paths, budget).value();
 
   // Independent 1-D check: out1(d) + out2(budget − d) over d.
-  const auto m1 = paths[0].compose();
-  const auto m2 = paths[1].compose();
+  const auto m1 = m.compose(paths[0]);
+  const auto m2 = m.compose(paths[1]);
   const auto report = math::golden_section_maximize(
       [&](double d) { return m1.evaluate(d) + m2.evaluate(budget - d); },
       0.0, budget);
@@ -101,18 +126,17 @@ TEST(RoutingTest, MatchesGoldenSectionOnTwoPaths) {
 TEST(RoutingTest, SplitSpendsExactlyTheBudget) {
   Rng rng(81);
   for (int trial = 0; trial < 30; ++trial) {
-    amm::CpmmPool p1(PoolId{0}, kA, kB, rng.uniform(100.0, 5'000.0),
-                     rng.uniform(100.0, 5'000.0));
-    amm::CpmmPool p2(PoolId{1}, kA, kB, rng.uniform(100.0, 5'000.0),
-                     rng.uniform(100.0, 5'000.0));
-    const std::vector<amm::PoolPath> paths{
-        *amm::PoolPath::create({amm::Hop{&p1, kA}}),
-        *amm::PoolPath::create({amm::Hop{&p2, kA}})};
+    RoutingMarket m;
+    const PoolId p1 = m.graph.add_pool(m.a, m.b, rng.uniform(100.0, 5'000.0),
+                                       rng.uniform(100.0, 5'000.0));
+    const PoolId p2 = m.graph.add_pool(m.a, m.b, rng.uniform(100.0, 5'000.0),
+                                       rng.uniform(100.0, 5'000.0));
+    const Paths paths{{p1}, {p2}};
     const double budget = rng.uniform(1.0, 1'000.0);
-    const auto split = optimal_route_split(paths, budget).value();
+    const auto split = m.split(paths, budget).value();
     EXPECT_NEAR(split.inputs[0] + split.inputs[1], budget, 1e-9 * budget);
     // Never worse than the best unsplit route.
-    const double single = best_single_path_output(paths, budget).value();
+    const double single = m.single(paths, budget).value();
     EXPECT_GE(split.total_output, single * (1.0 - 1e-9));
   }
 }
@@ -126,7 +150,7 @@ TEST(RoutingTest, LargeBudgetConvergesWithRelativeTolerance) {
   const RoutedMarket m;
   const auto paths = m.paths();
   for (const double budget : {1e6, 1e9, 1e12}) {
-    const auto result = optimal_route_split(paths, budget);
+    const auto result = m.split(paths, budget);
     ASSERT_TRUE(result.ok()) << "budget " << budget;
     const auto& split = *result;
     double spent = 0.0;
@@ -137,7 +161,7 @@ TEST(RoutingTest, LargeBudgetConvergesWithRelativeTolerance) {
     for (std::size_t p = 0; p < paths.size(); ++p) {
       if (split.inputs[p] > 1e-9 * budget) {
         const double marginal =
-            paths[p].compose().derivative(split.inputs[p]);
+            m.compose(paths[p]).derivative(split.inputs[p]);
         EXPECT_NEAR(marginal, split.marginal_rate,
                     1e-6 * split.marginal_rate)
             << "budget " << budget << " path " << p;
@@ -147,14 +171,14 @@ TEST(RoutingTest, LargeBudgetConvergesWithRelativeTolerance) {
 }
 
 TEST(RoutingTest, ValidationRejectsBadInputs) {
-  const RoutedMarket m;
-  EXPECT_FALSE(optimal_route_split({}, 1.0).ok());
-  EXPECT_FALSE(optimal_route_split(m.paths(), -1.0).ok());
+  RoutedMarket m;
+  EXPECT_FALSE(m.split({}, 1.0).ok());
+  EXPECT_FALSE(m.split(m.paths(), -1.0).ok());
   // Mismatched endpoints.
-  amm::CpmmPool odd(PoolId{9}, kA, kC, 100.0, 100.0);
+  const PoolId odd = m.graph.add_pool(m.a, m.c, 100.0, 100.0);
   auto paths = m.paths();
-  paths.push_back(*amm::PoolPath::create({amm::Hop{&odd, kA}}));
-  EXPECT_FALSE(optimal_route_split(paths, 1.0).ok());
+  paths.push_back({odd});
+  EXPECT_FALSE(m.split(paths, 1.0).ok());
 }
 
 }  // namespace

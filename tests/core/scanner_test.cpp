@@ -96,6 +96,53 @@ TEST(ScannerTest, PlansAreExecutable) {
               opportunities.front().outcome.monetized_usd, 1e-6);
 }
 
+/// A ring of `length` pools with reserves (1000, 1012)·scale; token i is
+/// priced at $(i + 1).
+struct DeepRing {
+  graph::TokenGraph graph;
+  market::CexPriceFeed prices;
+
+  DeepRing(std::size_t length, double scale) {
+    std::vector<TokenId> tokens;
+    for (std::size_t i = 0; i < length; ++i) {
+      tokens.push_back(graph.add_token("T" + std::to_string(i)));
+      prices.set_price(tokens.back(), 1.0 + static_cast<double>(i));
+    }
+    for (std::size_t i = 0; i < length; ++i) {
+      graph.add_pool(tokens[i], tokens[(i + 1) % length], 1000.0 * scale,
+                     1012.0 * scale);
+    }
+  }
+};
+
+TEST(ScannerTest, DeepLongRingsScaleExactly) {
+  // Regression: the Möbius composition multiplied raw reserves, so on a
+  // 6-hop ring of 1e27-deep pools a·b overflowed to +inf and the scan
+  // failed with "non-finite optimal trade" under MaxMax and Convex (the
+  // diagnostics size every loop with the closed form).
+  constexpr double kScale = 1e24;
+  for (const std::size_t length : {6u, 8u}) {
+    const DeepRing unit(length, 1.0);
+    const DeepRing deep(length, kScale);
+    for (const StrategyKind strategy :
+         {StrategyKind::kMaxMax, StrategyKind::kConvexOptimization}) {
+      ScannerConfig config;
+      config.loop_lengths = {length};
+      config.strategy = strategy;
+      const auto small = scan_market(unit.graph, unit.prices, config);
+      const auto large = scan_market(deep.graph, deep.prices, config);
+      ASSERT_TRUE(small.ok()) << small.error().message;
+      ASSERT_TRUE(large.ok()) << large.error().message;
+      ASSERT_EQ(small->size(), 1u);
+      ASSERT_EQ(large->size(), 1u);
+      const double expected = kScale * small->front().net_profit_usd;
+      EXPECT_GT(expected, 0.0);
+      EXPECT_NEAR(large->front().net_profit_usd, expected, 1e-9 * expected)
+          << "length " << length << " " << to_string(strategy);
+    }
+  }
+}
+
 TEST(ScannerTest, ValidationRejectsBadConfig) {
   const Section5Market m;
   ScannerConfig empty;

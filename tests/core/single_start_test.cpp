@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "amm/path.hpp"
 #include "tests/core/fixtures.hpp"
 
 namespace arb::core {
@@ -42,20 +43,20 @@ TEST(TraditionalTest, PaperNumbersStartZ) {
 }
 
 TEST(TraditionalTest, AnalyticAndBisectionAgree) {
+  // The strategy sizes CPMM rotations with the closed form; the paper's
+  // bisection on d out/d in = 1 is the reference it must agree with.
   const Section5Market m;
-  SingleStartOptions bisect;
-  bisect.use_bisection = true;
-  SingleStartOptions analytic;
-  analytic.use_bisection = false;
   for (std::size_t offset = 0; offset < 3; ++offset) {
-    auto a = evaluate_traditional(m.graph, m.prices, m.loop(), offset, bisect);
-    auto b =
-        evaluate_traditional(m.graph, m.prices, m.loop(), offset, analytic);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_NEAR(a->monetized_usd, b->monetized_usd, 1e-5);
-    EXPECT_GT(a->solver_iterations, 0);
-    EXPECT_EQ(b->solver_iterations, 0);
+    const auto bisection =
+        amm::optimize_input_bisection(m.loop().path(m.graph, offset));
+    auto closed = evaluate_traditional(m.graph, m.prices, m.loop(), offset);
+    ASSERT_TRUE(bisection.ok());
+    ASSERT_TRUE(closed.ok());
+    const double price =
+        m.prices.price(m.loop().tokens()[offset]).value();
+    EXPECT_NEAR(price * bisection->profit, closed->monetized_usd, 1e-5);
+    EXPECT_GT(bisection->iterations, 0);
+    EXPECT_EQ(closed->solver_iterations, 0);
   }
 }
 

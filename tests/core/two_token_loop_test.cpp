@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/comparison.hpp"
-#include "core/coordinate.hpp"
+#include "core/generic_convex.hpp"
 #include "core/plan.hpp"
 #include "graph/cycle_enumeration.hpp"
 #include "sim/engine.hpp"
@@ -58,13 +58,14 @@ TEST(TwoTokenLoopTest, AllStrategiesRun) {
             row.max_max.monetized_usd - 1e-6);
 }
 
-TEST(TwoTokenLoopTest, CoordinateSolverAgreesWithBarrier) {
+TEST(TwoTokenLoopTest, GenericSolverAgreesWithBarrier) {
   const TwoPoolMarket m;
   const graph::Cycle loop = m.loop();
-  const auto hops = make_hop_data(m.graph, m.prices, loop).value();
-  const CoordinateReport coordinate = solve_reduced_coordinate(hops);
+  optim::SolveWorkspace ws;
+  const auto generic =
+      solve_generic_convex(m.graph, m.prices, loop, ws).value();
   const auto barrier = solve_convex(m.graph, m.prices, loop).value();
-  EXPECT_NEAR(coordinate.profit_usd, barrier.outcome.monetized_usd,
+  EXPECT_NEAR(generic.profit_usd, barrier.outcome.monetized_usd,
               1e-4 * std::max(1.0, barrier.outcome.monetized_usd));
 }
 

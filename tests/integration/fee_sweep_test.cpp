@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "amm/path.hpp"
 #include "core/comparison.hpp"
 #include "core/plan.hpp"
 #include "graph/cycle.hpp"
@@ -40,18 +41,14 @@ class FeeSweepTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(FeeSweepTest, AnalyticEqualsBisection) {
   const FeeMarket m(GetParam());
-  core::SingleStartOptions bisect;
-  core::SingleStartOptions analytic;
-  analytic.use_bisection = false;
   for (std::size_t offset = 0; offset < 3; ++offset) {
-    const auto a =
-        core::evaluate_traditional(m.graph, m.prices, m.loop, offset, bisect)
-            .value();
-    const auto b = core::evaluate_traditional(m.graph, m.prices, m.loop,
-                                              offset, analytic)
-                       .value();
-    EXPECT_NEAR(a.monetized_usd, b.monetized_usd,
-                1e-6 * std::max(1.0, b.monetized_usd));
+    const auto bisection =
+        amm::optimize_input_bisection(m.loop.path(m.graph, offset)).value();
+    const auto closed =
+        core::evaluate_traditional(m.graph, m.prices, m.loop, offset).value();
+    const double price = m.prices.price(m.loop.tokens()[offset]).value();
+    EXPECT_NEAR(price * bisection.profit, closed.monetized_usd,
+                1e-6 * std::max(1.0, closed.monetized_usd));
   }
 }
 

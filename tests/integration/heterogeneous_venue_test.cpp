@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/convex.hpp"
+#include "core/generic_convex.hpp"
 #include "core/scanner.hpp"
 #include "graph/cycle.hpp"
 #include "graph/cycle_enumeration.hpp"
@@ -30,7 +31,6 @@
 #include "runtime/incremental_scanner.hpp"
 #include "runtime/replay_stream.hpp"
 #include "runtime/service.hpp"
-#include "testkit/generic_loop.hpp"
 
 namespace arb {
 namespace {
@@ -110,8 +110,8 @@ TEST(HeterogeneousVenueTest, ConvexDispatchReportsPathTaken) {
   // The derivative-free generic solver over the pools' own quotes must
   // agree on the monetized optimum.
   optim::SolveWorkspace generic_ws;
-  auto generic = testkit::solve_loop_generic(mixed.graph, mixed.prices,
-                                             mixed.loop(), generic_ws);
+  auto generic = core::solve_generic_convex(mixed.graph, mixed.prices,
+                                            mixed.loop(), generic_ws);
   ASSERT_TRUE(generic.ok());
   EXPECT_GT(generic->profit_usd, 0.0);
   EXPECT_NEAR(fast->outcome.monetized_usd, generic->profit_usd,

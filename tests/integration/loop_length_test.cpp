@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/comparison.hpp"
-#include "core/coordinate.hpp"
+#include "core/generic_convex.hpp"
 #include "core/plan.hpp"
 #include "sim/engine.hpp"
 #include "sim/integer_check.hpp"
@@ -75,16 +75,15 @@ TEST_P(LoopLengthTest, ConvexRotationInvariant) {
   }
 }
 
-TEST_P(LoopLengthTest, CoordinateSolverAgrees) {
+TEST_P(LoopLengthTest, GenericSolverAgrees) {
   const RingMarket m(GetParam());
-  const auto hops =
-      core::make_hop_data(m.graph, m.prices, m.loop()).value();
-  const auto coordinate = core::solve_reduced_coordinate(hops);
+  optim::SolveWorkspace ws;
+  const auto generic =
+      core::solve_generic_convex(m.graph, m.prices, m.loop(), ws).value();
   const double barrier =
       core::solve_convex(m.graph, m.prices, m.loop()).value().outcome
           .monetized_usd;
-  EXPECT_NEAR(coordinate.profit_usd, barrier,
-              5e-3 * std::max(1.0, barrier));
+  EXPECT_NEAR(generic.profit_usd, barrier, 5e-3 * std::max(1.0, barrier));
 }
 
 TEST_P(LoopLengthTest, PlanExecutesAndSettlesInIntegerArithmetic) {

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "core/convex.hpp"
+#include "core/generic_convex.hpp"
 #include "core/scanner.hpp"
 #include "graph/cycle.hpp"
 #include "graph/cycle_enumeration.hpp"
@@ -32,7 +33,6 @@
 #include "optim/workspace.hpp"
 #include "runtime/replay_stream.hpp"
 #include "runtime/service.hpp"
-#include "testkit/generic_loop.hpp"
 
 namespace arb {
 namespace {
@@ -118,7 +118,7 @@ TEST(MixedSolverDifferentialTest, WarmColdGenericAgreeOverStreamingEvents) {
       ++compared;
 
       if (compared % 32 == 0) {
-        auto generic = testkit::solve_loop_generic(
+        auto generic = core::solve_generic_convex(
             market.graph, market.prices, cycle, generic_ws);
         ASSERT_TRUE(generic.ok()) << generic.error().message;
         expect_agree(cold->outcome.monetized_usd, generic->profit_usd,

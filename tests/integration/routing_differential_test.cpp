@@ -21,13 +21,13 @@
 #include <vector>
 
 #include "core/convex.hpp"
+#include "core/generic_convex.hpp"
 #include "core/flow_nlp.hpp"
 #include "core/router.hpp"
 #include "core/routing.hpp"
 #include "graph/cycle.hpp"
 #include "graph/cycle_enumeration.hpp"
 #include "market/generator.hpp"
-#include "testkit/generic_loop.hpp"
 
 namespace arb {
 namespace {
@@ -81,8 +81,8 @@ TEST(RoutingDifferentialTest, OneCycleConvexMatchesGenericSolver) {
       auto convex = core::solve_convex(market.graph, market.prices, cycle,
                                        convex_options, convex_ctx);
       ASSERT_TRUE(convex.ok()) << convex.error().message;
-      auto generic = testkit::solve_loop_generic(market.graph, market.prices,
-                                                 cycle, generic_ws);
+      auto generic = core::solve_generic_convex(market.graph, market.prices,
+                                                cycle, generic_ws);
       ASSERT_TRUE(generic.ok()) << generic.error().message;
 
       expect_agree(convex->outcome.monetized_usd, generic->profit_usd,

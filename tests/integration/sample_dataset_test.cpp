@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/comparison.hpp"
 #include "core/scanner.hpp"
 #include "market/io.hpp"
 

@@ -1,14 +1,15 @@
 // Differential testing of the two convex-solver routes (the barrier on
-// the one-cycle flow program behind solve_convex, and compensated
-// coordinate ascent) plus the MaxMax lower bound, on randomized loops of
-// random length — the strongest correctness evidence the library has for
-// the Convex Optimization strategy.
+// the one-cycle flow program behind solve_convex, and the derivative-free
+// generic solver over the pools' own quotes, which shares no solver code
+// with it) plus the MaxMax lower bound, on randomized loops of random
+// length — the strongest correctness evidence the library has for the
+// Convex Optimization strategy.
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "core/convex.hpp"
-#include "core/coordinate.hpp"
+#include "core/generic_convex.hpp"
 #include "core/single_start.hpp"
 #include "graph/cycle.hpp"
 
@@ -46,6 +47,7 @@ class SolverDifferentialTest
 
 TEST_P(SolverDifferentialTest, AllRoutesAgreeOnRandomLoops) {
   Rng rng(GetParam());
+  optim::SolveWorkspace ws;
   int profitable = 0;
   for (int trial = 0; trial < 25; ++trial) {
     const std::size_t length = 2 + rng.index(5);  // 2..6
@@ -56,21 +58,20 @@ TEST_P(SolverDifferentialTest, AllRoutesAgreeOnRandomLoops) {
         core::evaluate_max_max(loop.graph, loop.prices, cycle).value();
     const auto barrier =
         core::solve_convex(loop.graph, loop.prices, cycle).value();
-    const auto hops =
-        core::make_hop_data(loop.graph, loop.prices, cycle).value();
-    const auto coordinate = core::solve_reduced_coordinate(hops);
+    const auto generic =
+        core::solve_generic_convex(loop.graph, loop.prices, cycle, ws).value();
 
     const double reference = barrier.outcome.monetized_usd;
     if (cycle.price_product(loop.graph) <= 1.0) {
       EXPECT_DOUBLE_EQ(maxmax.monetized_usd, 0.0);
       EXPECT_DOUBLE_EQ(reference, 0.0);
-      EXPECT_DOUBLE_EQ(coordinate.profit_usd, 0.0);
+      EXPECT_DOUBLE_EQ(generic.profit_usd, 0.0);
       continue;
     }
     ++profitable;
     const double tol = 1e-4 * std::max(1e-9, reference);
-    EXPECT_NEAR(coordinate.profit_usd, reference,
-                5e-3 * std::max(1e-9, reference))
+    EXPECT_NEAR(generic.profit_usd, reference,
+                1e-6 * std::max(1e-9, reference))
         << "len=" << length << " trial=" << trial;
     // MaxMax is a valid lower bound for every route.
     EXPECT_LE(maxmax.monetized_usd, reference + tol);

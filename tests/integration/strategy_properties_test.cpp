@@ -130,15 +130,13 @@ TEST_P(StrategyPropertyTest, MaxMaxPlanLeavesLoopUnprofitable) {
     ASSERT_TRUE(plan.ok());
     ASSERT_TRUE(engine.execute(working.graph, working.prices, *plan).ok());
     // Post-trade, this orientation holds no more profit.
-    auto after = core::evaluate_traditional(
-        working.graph, working.prices, row.cycle,
-        /*start_offset=*/0, core::SingleStartOptions{.use_bisection = false});
+    auto after = core::evaluate_traditional(working.graph, working.prices,
+                                            row.cycle, /*start_offset=*/0);
     // Find the rotation matching the executed start token for exactness.
     for (std::size_t offset = 0; offset < row.cycle.length(); ++offset) {
       if (row.cycle.tokens()[offset] == row.max_max.start_token) {
-        after = core::evaluate_traditional(
-            working.graph, working.prices, row.cycle, offset,
-            core::SingleStartOptions{.use_bisection = false});
+        after = core::evaluate_traditional(working.graph, working.prices,
+                                           row.cycle, offset);
       }
     }
     ASSERT_TRUE(after.ok());

@@ -31,8 +31,7 @@ TEST(CompetitionTest, ValidationRejectsDegenerateSetups) {
   zero_blocks.blocks = 0;
   EXPECT_FALSE(
       run_competition(snapshot,
-                      {BotSpec{"a", core::StrategyKind::kMaxMax,
-                               core::ComparisonOptions{}}},
+                      {BotSpec{"a", core::StrategyKind::kMaxMax}},
                       zero_blocks)
           .ok());
 }
@@ -40,7 +39,7 @@ TEST(CompetitionTest, ValidationRejectsDegenerateSetups) {
 TEST(CompetitionTest, SingleBotWinsEveryContestedBlock) {
   const auto snapshot = competitive_market();
   const std::vector<BotSpec> bots{
-      BotSpec{"solo", core::StrategyKind::kMaxMax, core::ComparisonOptions{}}};
+      BotSpec{"solo", core::StrategyKind::kMaxMax}};
   const auto result =
       run_competition(snapshot, bots, default_config()).value();
   EXPECT_EQ(result.standings.size(), 1u);
@@ -52,8 +51,8 @@ TEST(CompetitionTest, SingleBotWinsEveryContestedBlock) {
 TEST(CompetitionTest, DeterministicForSeed) {
   const auto snapshot = competitive_market();
   const std::vector<BotSpec> bots{
-      BotSpec{"a", core::StrategyKind::kMaxMax, core::ComparisonOptions{}},
-      BotSpec{"b", core::StrategyKind::kMaxPrice, core::ComparisonOptions{}}};
+      BotSpec{"a", core::StrategyKind::kMaxMax},
+      BotSpec{"b", core::StrategyKind::kMaxPrice}};
   const auto r1 = run_competition(snapshot, bots, default_config()).value();
   const auto r2 = run_competition(snapshot, bots, default_config()).value();
   for (std::size_t i = 0; i < bots.size(); ++i) {
@@ -68,8 +67,8 @@ TEST(CompetitionTest, MaxMaxNeverLosesToMaxPrice) {
   // so in a sealed-bid auction the MaxPrice bot can win only by tie.
   const auto snapshot = competitive_market();
   const std::vector<BotSpec> bots{
-      BotSpec{"maxmax", core::StrategyKind::kMaxMax, core::ComparisonOptions{}},
-      BotSpec{"maxprice", core::StrategyKind::kMaxPrice, core::ComparisonOptions{}}};
+      BotSpec{"maxmax", core::StrategyKind::kMaxMax},
+      BotSpec{"maxprice", core::StrategyKind::kMaxPrice}};
   const auto result =
       run_competition(snapshot, bots, default_config(40)).value();
   EXPECT_GT(result.contested_blocks, 5u);
@@ -88,8 +87,8 @@ TEST(CompetitionTest, ConvexMatchesMaxMaxBids) {
   // genuine (tiny) gaps.
   const auto snapshot = competitive_market();
   const std::vector<BotSpec> bots{
-      BotSpec{"maxmax", core::StrategyKind::kMaxMax, core::ComparisonOptions{}},
-      BotSpec{"convex", core::StrategyKind::kConvexOptimization, core::ComparisonOptions{}}};
+      BotSpec{"maxmax", core::StrategyKind::kMaxMax},
+      BotSpec{"convex", core::StrategyKind::kConvexOptimization}};
   const auto result =
       run_competition(snapshot, bots, default_config(15)).value();
   const double total = result.standings[0].realized_usd +
