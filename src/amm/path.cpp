@@ -129,6 +129,13 @@ OptimalTrade optimize_input_analytic(const PoolPath& path) {
   const MobiusCoefficients m = path.compose();
   OptimalTrade trade;
   trade.input = m.optimal_input();
+  // Extreme reserves can push the closed form out of [0, inf) (NaN from
+  // overflowed or underflowed coefficients); hand the caller a non-finite
+  // trade to report rather than tripping evaluate()'s precondition.
+  if (!(trade.input >= 0.0)) {
+    trade.input = trade.output = trade.profit = std::nan("");
+    return trade;
+  }
   trade.output = m.evaluate(trade.input);
   trade.profit = trade.output - trade.input;
   return trade;

@@ -26,7 +26,7 @@
 /// writes, applied to the same starting state, through the same code
 /// path). Each buffer therefore sees the exact write sequence the serial
 /// single-buffer engine would have seen, which keeps the pipelined
-/// results bit-identical to serial for any pipeline depth.
+/// results bit-identical to serial.
 ///
 /// Readers never lock: the swap is a plain index flip on the writer
 /// thread, and the pipeline guarantees (ARB_REQUIRE'd by the scanner)

@@ -359,7 +359,7 @@ Result<ApplyReport> IncrementalScanner::wait_reprice() {
   report.warm_invalidations += pending_warm_invalidations_;
   pending_warm_invalidations_ = 0;
   // The ranking is NOT rebuilt here: reprice marked the touched shards
-  // stale, and the next collect()/ranked() call re-sorts and merges.
+  // stale, and the next collect()/collect_into() call re-sorts and merges.
   return report;
 }
 

@@ -30,9 +30,9 @@
 ///                        immediately.
 ///
 /// apply() = begin + commit + launch + wait, which is exactly the serial
-/// engine — pipelining at any depth replays the same write sequence into
+/// engine — the overlapped schedule replays the same write sequence into
 /// each buffer and prices the same frozen states, so results stay
-/// bit-identical to serial K=1 for any K and depth.
+/// bit-identical to serial K=1 for any K.
 ///
 /// Repricing itself is two passes per lane (the SoA gate): pass A sweeps
 /// the lane's dirty cycles as a contiguous array walk over the dense
@@ -162,19 +162,12 @@ class IncrementalScanner {
   /// True between launch_reprice() and wait_reprice().
   [[nodiscard]] bool reprice_in_flight() const { return in_flight_; }
 
-  /// Ranked opportunities (best first), pointers into internal slots.
-  /// Invalidated by the next apply(). Non-const: the ranking is
-  /// finalized lazily here — apply() only marks shards stale, and the
-  /// per-shard re-sorts plus the K-way merge run on first observation,
-  /// keeping the merge cost out of the event hot path. Must not be
-  /// called while a reprice is in flight.
-  [[nodiscard]] const std::vector<const core::Opportunity*>& ranked() {
-    rebuild_ranking();
-    return ranked_;
-  }
-
-  /// Deep copy of the ranked set — element-for-element what
-  /// core::scan_market would return on the current reserves.
+  /// Deep copy of the ranked set (best first) — element-for-element what
+  /// core::scan_market would return on the current reserves. Non-const:
+  /// the ranking is finalized lazily here — apply() only marks shards
+  /// stale, and the per-shard re-sorts plus the K-way merge run on first
+  /// observation, keeping the merge cost out of the event hot path. Must
+  /// not be called while a reprice is in flight.
   [[nodiscard]] std::vector<core::Opportunity> collect();
 
   /// Same, but into a caller-owned vector whose capacity is reused
@@ -203,8 +196,6 @@ class IncrementalScanner {
   [[nodiscard]] const market::MarketView& view() const {
     return market_.front_view();
   }
-  /// The double-buffered epoch store itself (diagnostics and tests).
-  [[nodiscard]] const EpochMarket& market() const { return market_; }
   [[nodiscard]] const ShardPlan& plan() const { return plan_; }
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
 

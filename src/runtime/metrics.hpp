@@ -22,7 +22,6 @@ namespace arb::runtime {
 /// RejectReason, contiguous and in enum order (see rejected_counter).
 #define ARB_RUNTIME_COUNTERS(X)                                               \
   X(events_ingested, "events accepted into the ingress queue")                \
-  X(events_dropped, "events rejected or evicted by backpressure")             \
   X(events_coalesced, "events superseded by a later one in their batch")      \
   X(batches, "epochs repriced and harvested")                                 \
   X(loops_repriced, "dirty cycles visited: cpmm + mixed + gated")             \
@@ -56,8 +55,7 @@ namespace arb::runtime {
   X(pools_quarantined_now, 0, "pools in quarantine")                          \
   X(shards, 1, "shard count, fixed at start")                                 \
   X(shard_imbalance, 0, "max/mean pool fan-out of the shard plan")            \
-  X(pipeline_depth, 1, "pipeline depth, fixed at start")                      \
-  X(epoch_lag, 0, "epochs staged or in flight behind the committed front")    \
+  X(epoch_lag, 0, "epochs in flight behind the committed front (0 or 1)")     \
   X(worker_queue_depth, 0, "worker-pool tasks waiting")
 
 /// Latency histograms in µs: X(name, meaning). Each exports the columns

@@ -31,11 +31,10 @@ ScannerService::ScannerService(const ServiceConfig& config)
 Result<std::unique_ptr<ScannerService>> ScannerService::start(
     const market::MarketSnapshot& snapshot, const ServiceConfig& config) {
   if (config.max_batch == 0 || config.queue_capacity == 0 ||
-      config.worker_threads == 0 || config.shards == 0 ||
-      config.pipeline_depth == 0) {
+      config.worker_threads == 0 || config.shards == 0) {
     return make_error(ErrorCode::kInvalidArgument,
                       "service needs positive max_batch, queue_capacity, "
-                      "worker_threads, shards and pipeline_depth");
+                      "worker_threads and shards");
   }
   std::unique_ptr<ScannerService> service(new ScannerService(config));
   auto scanner = IncrementalScanner::create(snapshot, config.scanner,
@@ -45,19 +44,16 @@ Result<std::unique_ptr<ScannerService>> ScannerService::start(
       std::make_unique<IncrementalScanner>(std::move(scanner).value());
   service->metrics_.set_shard_plan(service->scanner_->shard_count(),
                                    service->scanner_->plan().imbalance());
-  service->metrics_.set(Gauge::pipeline_depth, config.pipeline_depth);
-  if (config.validate) {
-    // Each pool's validator state lives in its owner shard.
-    const std::size_t pools = service->scanner_->view().pool_count();
-    std::vector<std::uint32_t> owners(pools);
-    for (std::size_t p = 0; p < pools; ++p) {
-      owners[p] = service->scanner_->plan().owner_of_pool(
-          PoolId(static_cast<PoolId::underlying_type>(p)));
-    }
-    service->validator_ = std::make_unique<ShardedValidator>(
-        service->scanner_->view(), config.validation, std::move(owners),
-        config.shards);
+  // Each pool's validator state lives in its owner shard.
+  const std::size_t pools = service->scanner_->view().pool_count();
+  std::vector<std::uint32_t> owners(pools);
+  for (std::size_t p = 0; p < pools; ++p) {
+    owners[p] = service->scanner_->plan().owner_of_pool(
+        PoolId(static_cast<PoolId::underlying_type>(p)));
   }
+  service->validator_ = std::make_unique<ShardedValidator>(
+      service->scanner_->view(), config.validation, std::move(owners),
+      config.shards);
   service->consumer_ = std::thread([raw = service.get()] { raw->run(); });
   return service;
 }
@@ -65,33 +61,16 @@ Result<std::unique_ptr<ScannerService>> ScannerService::start(
 ScannerService::~ScannerService() { stop(); }
 
 bool ScannerService::publish(const PoolUpdateEvent& event) {
-  bool dropped_oldest = false;
   {
     std::unique_lock lock(queue_mutex_);
-    if (config_.backpressure == BackpressurePolicy::kBlock) {
-      queue_not_full_.wait(lock, [this] {
-        return stopping_ || queue_.size() < config_.queue_capacity;
-      });
-    }
-    if (stopping_) return false;
-    if (queue_.size() >= config_.queue_capacity) {
-      switch (config_.backpressure) {
-        case BackpressurePolicy::kBlock:
-          return false;  // unreachable: the wait above guarantees space
-        case BackpressurePolicy::kDropNewest:
-          metrics_.add(Counter::events_dropped);
-          return false;
-        case BackpressurePolicy::kDropOldest:
-          queue_.pop_front();
-          dropped_oldest = true;
-          break;
-      }
-    }
+    queue_not_full_.wait(lock, [this] {
+      return stopping_ || failed_ || queue_.size() < config_.queue_capacity;
+    });
+    if (stopping_ || failed_) return false;
     queue_.push_back(event);
     metrics_.set(Gauge::queue_depth, queue_.size());
   }
   metrics_.add(Counter::events_ingested);
-  if (dropped_oldest) metrics_.add(Counter::events_dropped);
   queue_not_empty_.notify_one();
   return true;
 }
@@ -148,30 +127,24 @@ void ScannerService::opportunities_into(
 
 std::vector<PoolId> ScannerService::quarantined_pools() const {
   std::lock_guard lock(scanner_mutex_);
-  if (validator_ == nullptr) return {};
   return validator_->quarantined_pools();
 }
 
 void ScannerService::run() {
-  // One pipeline slot: a batch taken from the ingress queues, its
-  // validated survivors, and the quarantine transitions its validation
-  // produced (replayed, in stream order, at the epoch barrier — the
-  // validator state machine is stream-order-only, so deferring the
-  // scanner-side transition to the barrier leaves every epoch's frozen
-  // state bit-identical to the serial engine's).
+  // The batch slot, reused across epochs (steady state allocates
+  // nothing): a batch taken from the ingress queue, its validated
+  // survivors, and the quarantine transitions its validation produced
+  // (replayed, in stream order, at the epoch barrier — the validator
+  // state machine is stream-order-only, so deferring the scanner-side
+  // transition to the barrier leaves every epoch's frozen state
+  // bit-identical to the serial engine's).
   struct Transition {
     PoolId pool;
     bool entered = false;
   };
-  struct Prepared {
-    std::vector<PoolUpdateEvent> batch;
-    std::vector<PoolUpdateEvent> filtered;
-    std::vector<Transition> transitions;
-  };
-
-  const std::size_t depth = config_.pipeline_depth;
-  std::deque<Prepared> prepared;  ///< pre-validated batches (depth > 2)
-  std::vector<Prepared> spare;    ///< recycled slots (steady-state: no alloc)
+  std::vector<PoolUpdateEvent> batch;
+  std::vector<PoolUpdateEvent> survivors;
+  std::vector<Transition> transitions;
   bool inflight = false;
   Clock::time_point launched{};
 
@@ -180,37 +153,6 @@ void ScannerService::run() {
   // flight), so observers see exactly the serial engine's quiescent
   // states. Lock order is always scanner_mutex_ -> queue_mutex_.
   std::unique_lock slock(scanner_mutex_, std::defer_lock);
-
-  // Validation stage (requires slock): reject malformed events, record
-  // quarantine transitions for the barrier, keep the survivors. An empty
-  // surviving batch still flows through the pipeline so the ranked view
-  // reflects quarantine entries immediately.
-  const auto validate = [&](Prepared& p) {
-    if (validator_ == nullptr) return;
-    const auto t0 = Clock::now();
-    p.filtered.clear();
-    p.transitions.clear();
-    for (const PoolUpdateEvent& event : p.batch) {
-      const EventVerdict verdict = validator_->check(event);
-      if (verdict.entered_quarantine) {
-        p.transitions.push_back({event.pool, true});
-        metrics_.add(Counter::pools_quarantined);
-      }
-      if (verdict.released_quarantine) {
-        // The releasing event rides in the surviving batch, dirtying
-        // exactly this pool's cycles — the full-repricing resync.
-        p.transitions.push_back({event.pool, false});
-        metrics_.add(Counter::resyncs);
-      }
-      if (!verdict.accepted) {
-        metrics_.add(rejected_counter(verdict.reason));
-        continue;
-      }
-      p.filtered.push_back(event);
-    }
-    metrics_.set(Gauge::pools_quarantined_now, validator_->quarantined_count());
-    metrics_.record(Latency::stage_validate, micros_between(t0, Clock::now()));
-  };
 
   // Harvest stage (requires slock): joins the in-flight lanes and folds
   // their report into the metrics. Returns false on a lane error (status_
@@ -263,76 +205,79 @@ void ScannerService::run() {
   };
 
   // Terminal error path: status_ was already set under slock. Marks the
-  // service failed and abandons queued events (fail fast).
+  // service failed, abandons queued events (fail fast) and wakes every
+  // waiter: drain() returns and blocked producers get false.
   const auto fail = [&] {
     slock.unlock();
-    std::lock_guard qlock(queue_mutex_);
-    applying_ = false;
-    failed_ = true;
+    {
+      std::lock_guard qlock(queue_mutex_);
+      applying_ = false;
+      failed_ = true;
+    }
     queue_drained_.notify_all();
+    queue_not_full_.notify_all();
   };
 
   for (;;) {
-    Prepared current;
-    if (!spare.empty()) {
-      current = std::move(spare.back());
-      spare.pop_back();
-    }
-    bool have = false;
-    bool from_queue = false;
-    if (!prepared.empty()) {
-      // A pre-validated batch is ready; recycle the slot we just took.
-      spare.push_back(std::move(current));
-      current = std::move(prepared.front());
-      prepared.pop_front();
-      have = true;
-    }
-    while (!have) {
+    {
       std::unique_lock qlock(queue_mutex_);
-      if (queue_.empty()) {
-        if (slock.owns_lock()) {
-          // Pipeline still busy with nothing left to feed it: settle —
-          // harvest the in-flight epoch, then go quiescent.
-          qlock.unlock();
-          if (inflight && !harvest()) {
-            fail();
-            return;
-          }
-          metrics_.set(Gauge::epoch_lag, 0);
-          slock.unlock();
-          qlock.lock();
-          applying_ = false;
-          if (queue_.empty()) queue_drained_.notify_all();
-          if (queue_.empty() && !stopping_) {
-            queue_not_empty_.wait(
-                qlock, [this] { return stopping_ || !queue_.empty(); });
-          }
-          if (queue_.empty()) return;  // stopping and fully drained
-        } else {
-          queue_not_empty_.wait(
-              qlock, [this] { return stopping_ || !queue_.empty(); });
-          if (queue_.empty()) return;  // stopping and fully drained
+      if (queue_.empty() && slock.owns_lock()) {
+        // Pipeline still busy with nothing left to feed it: settle —
+        // harvest the in-flight epoch, then go quiescent.
+        qlock.unlock();
+        if (inflight && !harvest()) {
+          fail();
+          return;
         }
+        metrics_.set(Gauge::epoch_lag, 0);
+        slock.unlock();
+        qlock.lock();
+        applying_ = false;
+        if (queue_.empty()) queue_drained_.notify_all();
       }
-      take_batch_locked(current.batch);
+      queue_not_empty_.wait(qlock,
+                            [this] { return stopping_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopping and fully drained
+      take_batch_locked(batch);
       applying_ = true;
-      qlock.unlock();
-      queue_not_full_.notify_all();
-      have = true;
-      from_queue = true;
     }
-
+    queue_not_full_.notify_all();
     if (!slock.owns_lock()) slock.lock();
-    if (from_queue) validate(current);  // prepared batches are pre-validated
+
+    // Validation stage: reject malformed events, record quarantine
+    // transitions for the barrier, keep the survivors. An empty surviving
+    // batch still runs an epoch so the ranked view reflects quarantine
+    // entries immediately.
+    const auto v0 = Clock::now();
+    survivors.clear();
+    transitions.clear();
+    for (const PoolUpdateEvent& event : batch) {
+      const EventVerdict verdict = validator_->check(event);
+      if (verdict.entered_quarantine) {
+        transitions.push_back({event.pool, true});
+        metrics_.add(Counter::pools_quarantined);
+      }
+      if (verdict.released_quarantine) {
+        // The releasing event rides in the surviving batch, dirtying
+        // exactly this pool's cycles — the full-repricing resync.
+        transitions.push_back({event.pool, false});
+        metrics_.add(Counter::resyncs);
+      }
+      if (!verdict.accepted) {
+        metrics_.add(rejected_counter(verdict.reason));
+        continue;
+      }
+      survivors.push_back(event);
+    }
+    metrics_.set(Gauge::pools_quarantined_now, validator_->quarantined_count());
+    metrics_.record(Latency::stage_validate, micros_between(v0, Clock::now()));
 
     // Write stage: stage epoch N+1 into the back market buffer. This
     // overlaps the in-flight reprice of epoch N (the lanes read the
     // frozen front buffer). On error begin_epoch rolled the whole batch
     // back already.
-    const std::vector<PoolUpdateEvent>& writes =
-        validator_ != nullptr ? current.filtered : current.batch;
     const auto w0 = Clock::now();
-    const Status written = scanner_->begin_epoch(writes);
+    const Status written = scanner_->begin_epoch(survivors);
     metrics_.record(Latency::stage_write, micros_between(w0, Clock::now()));
 
     // Harvest epoch N before the barrier.
@@ -350,45 +295,14 @@ void ScannerService::run() {
 
     // Barrier: replay this batch's quarantine transitions in stream
     // order, then swap the epoch buffers and launch the lanes.
-    for (const Transition& t : current.transitions) {
+    for (const Transition& t : transitions) {
       scanner_->set_quarantined(t.pool, t.entered);
     }
     scanner_->commit_epoch();
     scanner_->launch_reprice();
     launched = Clock::now();
     inflight = true;
-
-    if (depth <= 1) {
-      // Serial mode: the classic engine, stage by stage.
-      if (!harvest()) {
-        fail();
-        return;
-      }
-    } else if (depth > 2) {
-      // Prefetch stage: pull and pre-validate up to depth-2 batches
-      // ahead of the write stage while the lanes run.
-      while (prepared.size() < depth - 2) {
-        Prepared next;
-        if (!spare.empty()) {
-          next = std::move(spare.back());
-          spare.pop_back();
-        }
-        {
-          std::unique_lock qlock(queue_mutex_);
-          if (queue_.empty()) {
-            qlock.unlock();
-            spare.push_back(std::move(next));
-            break;
-          }
-          take_batch_locked(next.batch);
-        }
-        queue_not_full_.notify_all();
-        validate(next);
-        prepared.push_back(std::move(next));
-      }
-    }
-    metrics_.set(Gauge::epoch_lag, (inflight ? 1 : 0) + prepared.size());
-    spare.push_back(std::move(current));
+    metrics_.set(Gauge::epoch_lag, 1);
   }
 }
 

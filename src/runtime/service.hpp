@@ -1,13 +1,14 @@
 #pragma once
 
 /// \file service.hpp
-/// The event-driven scanner service: one ingress FIFO feeding one
+/// The event-driven scanner service: one bounded ingress FIFO feeding one
 /// consumer thread that batches/coalesces bursts and drives the
 /// incremental scanner's staged epochs as an overlapped pipeline
 /// (DESIGN.md §12) — validating and writing epoch N+1 into the back
 /// market buffer while epoch N's reprice lanes still run on the worker
-/// pool. Producers call publish() from any thread; observers read
-/// opportunities() and metrics() from any thread.
+/// pool. Producers call publish() from any thread and wait while the
+/// queue is full; observers read opportunities() and metrics() from any
+/// thread.
 ///
 /// Observer consistency: the consumer holds the scanner lock while the
 /// pipeline is busy, so opportunities()/quarantined_pools() see only
@@ -35,13 +36,6 @@
 
 namespace arb::runtime {
 
-/// What publish() does when the event queue is at capacity.
-enum class BackpressurePolicy {
-  kBlock,       ///< producer waits for space (lossless)
-  kDropNewest,  ///< publish returns false, event discarded
-  kDropOldest,  ///< oldest queued event evicted, new one accepted
-};
-
 struct ServiceConfig {
   core::ScannerConfig scanner;
   std::size_t worker_threads = 4;
@@ -54,19 +48,10 @@ struct ServiceConfig {
   /// epochs (and within one, per-pool last-wins coalescing collapses
   /// duplicates).
   std::size_t max_batch = 256;
-  /// Pipeline depth (DESIGN.md §12): 1 runs the stages serially (the
-  /// pre-pipeline engine), 2 overlaps writing epoch N+1 with repricing
-  /// epoch N, >2 additionally pre-validates up to depth-2 batches ahead
-  /// of the write stage. Results are bit-identical at every depth.
-  std::size_t pipeline_depth = 2;
-  BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
-  /// Run every event through the sharded validator before applying it
+  /// Every event runs through the sharded validator before it is applied
   /// (DESIGN.md §10): malformed events are rejected and counted by
   /// RejectReason, repeat offenders quarantine, and the service keeps
-  /// running. With validate=false the pre-validation contract applies —
-  /// the first bad event stops the service with an error status (useful
-  /// for trusted in-process streams where a bad event is a bug).
-  bool validate = true;
+  /// running.
   ValidationConfig validation;
 };
 
@@ -81,9 +66,9 @@ class ScannerService {
   ScannerService(const ScannerService&) = delete;
   ScannerService& operator=(const ScannerService&) = delete;
 
-  /// Publishes one event into the ingress queue. Returns false when the
-  /// event was not accepted (kDropNewest with a full queue, or the
-  /// service is stopping).
+  /// Publishes one event into the ingress queue, waiting while it is
+  /// full. Returns false when the event was not accepted: the service is
+  /// stopping or the consumer stopped on an error (status()).
   bool publish(const PoolUpdateEvent& event);
 
   /// Blocks until every accepted event has been applied and the
@@ -107,8 +92,7 @@ class ScannerService {
   /// vector has grown to the working-set size.
   void opportunities_into(std::vector<core::Opportunity>& out) const;
 
-  /// Pools currently in quarantine (ascending ids). Empty when the
-  /// service runs with validate=false.
+  /// Pools currently in quarantine (ascending ids).
   [[nodiscard]] std::vector<PoolId> quarantined_pools() const;
 
   /// Runs `fn` against the committed market snapshot under the scanner
@@ -151,7 +135,7 @@ class ScannerService {
   std::deque<PoolUpdateEvent> queue_;
   bool applying_ = false;  ///< consumer pipeline busy
   bool stopping_ = false;
-  bool failed_ = false;  ///< consumer stopped on error
+  bool failed_ = false;  ///< consumer stopped on error; publish() refuses
 
   std::thread consumer_;
 };

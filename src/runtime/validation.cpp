@@ -140,11 +140,12 @@ EventVerdict EventValidator::check(const PoolUpdateEvent& event) {
     return verdict;
   }
 
-  if (config_.sequence_check && state.has_sequence &&
-      event.sequence <= state.last_sequence) {
-    // Duplicate / reordered / stale retransmission. Not a strike (the
-    // payload itself is fine) and not release progress either — a
-    // quarantined pool recovers on fresh data only.
+  if (state.has_sequence && event.sequence <= state.last_sequence) {
+    // Duplicate / reordered / stale retransmission. Rejecting it is safe
+    // because events carry absolute state, so the newest accepted event
+    // is always the right one. Not a strike (the payload itself is fine)
+    // and not release progress either — a quarantined pool recovers on
+    // fresh data only.
     verdict.accepted = false;
     verdict.reason = RejectReason::kStaleSequence;
     verdict.pool_quarantined = state.quarantined;

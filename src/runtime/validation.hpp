@@ -53,12 +53,8 @@ inline constexpr std::size_t kRejectReasonCount = 6;
 
 [[nodiscard]] const char* to_string(RejectReason reason);
 
+/// Tuning of the quarantine state machine.
 struct ValidationConfig {
-  /// Reject events whose sequence is not strictly greater than the last
-  /// accepted sequence for the same pool (catches duplicates, reorders
-  /// and stale retransmissions — safe because events carry absolute
-  /// state, so the newest accepted event is always the right one).
-  bool sequence_check = true;
   /// Consecutive payload-invalid events that quarantine a pool. Stale
   /// and unknown-pool rejects never count: they are transport artifacts,
   /// not evidence the pool's feed is corrupt.

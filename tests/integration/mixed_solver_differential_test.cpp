@@ -12,10 +12,10 @@
 //     solver directly. Monetized profits must agree to ≤1e-6 relative
 //     (1e-6 USD absolute floor).
 //  2. Engine level — the same 1000+-event stream through the scanner
-//     service at shards K ∈ {1, 4} x pipeline depth ∈ {1, 2} with warm
-//     starts on: ranked sets must be bit-identical across every pair
-//     (the sharded/pipelined engine may not perturb the mixed fast
-//     path's warm trajectories).
+//     service at shards K ∈ {1, 4} with warm starts on, and through a
+//     serial reference (one IncrementalScanner::apply per event): ranked
+//     sets must be bit-identical across all three (the sharded, pipelined
+//     engine may not perturb the mixed fast path's warm trajectories).
 
 #include <gtest/gtest.h>
 
@@ -31,6 +31,7 @@
 #include "graph/cycle_enumeration.hpp"
 #include "market/generator.hpp"
 #include "optim/workspace.hpp"
+#include "runtime/incremental_scanner.hpp"
 #include "runtime/replay_stream.hpp"
 #include "runtime/service.hpp"
 
@@ -132,38 +133,48 @@ TEST(MixedSolverDifferentialTest, WarmColdGenericAgreeOverStreamingEvents) {
   EXPECT_GE(generic_compared, 25u);
 }
 
-/// One service run on the shared mixed stream; returns the ranked set.
-std::vector<core::Opportunity> run_service(
-    const market::MarketSnapshot& snapshot, std::size_t shards,
-    std::size_t depth) {
+/// The engine-level scanner configuration: Convex with warm starts.
+core::ScannerConfig warm_convex() {
   core::ScannerConfig scanner;
   scanner.loop_lengths = {3};
   scanner.strategy = core::StrategyKind::kConvexOptimization;
   scanner.convex_warm_start = true;
+  return scanner;
+}
 
-  runtime::ServiceConfig config;
-  config.scanner = scanner;
-  config.worker_threads = 2;
-  config.shards = shards;
-  config.pipeline_depth = depth;
-  config.max_batch = 1;  // batch composition == stream order
-  auto service = runtime::ScannerService::start(snapshot, config).value();
-
+/// The shared mixed stream, one event per element.
+std::vector<runtime::PoolUpdateEvent> mixed_stream(
+    const market::MarketSnapshot& snapshot) {
   runtime::ReplayStreamConfig stream_config;
   stream_config.blocks = 21;
   stream_config.seed = kStreamSeed;
   runtime::ReplayUpdateStream stream(snapshot, stream_config);
-  std::size_t events = 0;
-  while (auto event = stream.next()) {
-    EXPECT_TRUE(service->publish(*event));
-    ++events;
+  std::vector<runtime::PoolUpdateEvent> events;
+  while (auto event = stream.next()) events.push_back(*event);
+  EXPECT_GE(events.size(), 1000u);
+  return events;
+}
+
+/// One service run on the shared mixed stream; returns the ranked set.
+std::vector<core::Opportunity> run_service(
+    const market::MarketSnapshot& snapshot, std::size_t shards,
+    const std::vector<runtime::PoolUpdateEvent>& events) {
+  runtime::ServiceConfig config;
+  config.scanner = warm_convex();
+  config.worker_threads = 2;
+  config.shards = shards;
+  config.max_batch = 1;  // batch composition == stream order
+  auto service = runtime::ScannerService::start(snapshot, config).value();
+  for (const runtime::PoolUpdateEvent& event : events) {
+    EXPECT_TRUE(service->publish(event));
   }
-  EXPECT_GE(events, 1000u);
   service->drain();
   EXPECT_TRUE(service->status().ok()) << service->status().error().message;
 
   std::vector<core::Opportunity> ranked = service->opportunities();
   const runtime::MetricsSnapshot metrics = service->metrics();
+  // A clean stream: every event is applied, as in the serial reference.
+  EXPECT_EQ(metrics.events_rejected_total(), 0u);
   // The fast path carries the mixed load; the generic rungs (tick
   // crossings, rescues) stay a remainder, and the split never exceeds
   // the gate survivors.
@@ -176,7 +187,7 @@ std::vector<core::Opportunity> run_service(
   return ranked;
 }
 
-TEST(MixedSolverDifferentialTest, BitStableAcrossShardsAndPipelineDepth) {
+TEST(MixedSolverDifferentialTest, BitStableAcrossShardsAndSerialApply) {
   market::GeneratorConfig gen;
   gen.token_count = 20;
   gen.pool_count = 48;
@@ -184,24 +195,26 @@ TEST(MixedSolverDifferentialTest, BitStableAcrossShardsAndPipelineDepth) {
   gen.concentrated_fraction = 0.2;
   const market::MarketSnapshot snapshot = market::generate_snapshot(gen);
   ASSERT_FALSE(snapshot.graph.all_cpmm());
+  const std::vector<runtime::PoolUpdateEvent> events = mixed_stream(snapshot);
 
-  const std::vector<core::Opportunity> base = run_service(snapshot, 1, 1);
+  // Serial reference: one K=1 scanner without workers, one apply per event.
+  auto scanner =
+      runtime::IncrementalScanner::create(snapshot, warm_convex()).value();
+  for (const runtime::PoolUpdateEvent& event : events) {
+    ASSERT_TRUE(scanner.apply({event}).ok());
+  }
+  const std::vector<core::Opportunity> base = scanner.collect();
   for (const std::size_t shards : {1, 4}) {
-    for (const std::size_t depth : {1, 2}) {
-      if (shards == 1 && depth == 1) continue;
-      SCOPED_TRACE("K=" + std::to_string(shards) + " depth=" +
-                   std::to_string(depth));
-      const std::vector<core::Opportunity> run =
-          run_service(snapshot, shards, depth);
-      ASSERT_EQ(base.size(), run.size());
-      for (std::size_t i = 0; i < base.size(); ++i) {
-        EXPECT_EQ(base[i].cycle.rotation_key(), run[i].cycle.rotation_key())
-            << "rank " << i;
-        EXPECT_EQ(base[i].net_profit_usd, run[i].net_profit_usd)
-            << "rank " << i;
-        EXPECT_EQ(base[i].outcome.monetized_usd, run[i].outcome.monetized_usd)
-            << "rank " << i;
-      }
+    SCOPED_TRACE("K=" + std::to_string(shards) + " service vs serial apply");
+    const std::vector<core::Opportunity> run =
+        run_service(snapshot, shards, events);
+    ASSERT_EQ(base.size(), run.size());
+    for (std::size_t i = 0; i < base.size(); ++i) {
+      EXPECT_EQ(base[i].cycle.rotation_key(), run[i].cycle.rotation_key())
+          << "rank " << i;
+      EXPECT_EQ(base[i].net_profit_usd, run[i].net_profit_usd) << "rank " << i;
+      EXPECT_EQ(base[i].outcome.monetized_usd, run[i].outcome.monetized_usd)
+          << "rank " << i;
     }
   }
 }

@@ -1,14 +1,16 @@
-// Shard/pipeline-sweep differential suite: the sharded engine's contract
-// is that the shard count K and the pipeline depth are unobservable from
-// the outside. The identical event stream — clean and fault-injected —
-// is replayed through services at K ∈ {1, 2, 4, 8} and pipeline depths
-// {1, 2, 3}; the ranked sets, per-reason reject counts and quarantine
-// states must be bit-identical across every (K, depth) pair, and (via
-// the K=1 engine's established parity) equal a fresh scan_market of the
-// mirror reference with quarantined pools' loops filtered out. Run on an
-// all-CPMM market and on a mixed StableSwap/concentrated market, plus a
-// warm-start-enabled sweep (across-K/depth only: warm starts perturb
-// nothing because each shard owns its cycles' warm slots exclusively).
+// Shard-sweep differential suite: the sharded engine's contract is that
+// the shard count K is unobservable from the outside. The identical event
+// stream — clean and fault-injected — is replayed through services at
+// K ∈ {1, 2, 4, 8}; the ranked sets, per-reason reject counts, quarantine
+// states and repriced counts must be bit-identical across every K and
+// equal a serial reference: a K=1 IncrementalScanner fed event by event
+// from a mirror EventValidator, with the quarantine transitions applied
+// before each apply(). The K=1 service must also equal a fresh scan_market
+// of the mirror reference with quarantined pools' loops filtered out. Run
+// on an all-CPMM market and on a mixed StableSwap/concentrated market,
+// plus a warm-start-enabled sweep (across K and against the serial
+// reference only: warm starts perturb nothing because each shard owns its
+// cycles' warm slots exclusively).
 //
 // The harness pins max_batch = 1 so batch composition is exactly stream
 // order regardless of consumer/producer timing — that makes even the
@@ -30,6 +32,7 @@
 #include "core/scanner.hpp"
 #include "market/generator.hpp"
 #include "runtime/fault.hpp"
+#include "runtime/incremental_scanner.hpp"
 #include "runtime/replay_stream.hpp"
 #include "runtime/service.hpp"
 #include "runtime/validation.hpp"
@@ -70,21 +73,11 @@ void expect_same_run(const RunResult& expected, const RunResult& actual) {
   EXPECT_EQ(expected.repriced, actual.repriced);
 }
 
-/// Replays `blocks` blocks (optionally fault-injected) through a service
-/// with `shards` shards at pipeline depth `depth` and returns the
-/// observable outcome.
-RunResult run_stream(const market::MarketSnapshot& snapshot,
-                     const core::ScannerConfig& scanner_config,
-                     std::size_t shards, std::size_t depth, double fault_rate,
-                     std::size_t blocks) {
-  runtime::ServiceConfig config;
-  config.scanner = scanner_config;
-  config.worker_threads = 2;
-  config.shards = shards;
-  config.pipeline_depth = depth;
-  config.max_batch = 1;  // batch composition == stream order (see header)
-  auto service = runtime::ScannerService::start(snapshot, config).value();
-
+/// The suite's event stream: `blocks` replay blocks, optionally passed
+/// through the seeded fault injector.
+std::vector<runtime::PoolUpdateEvent> stream_events(
+    const market::MarketSnapshot& snapshot, double fault_rate,
+    std::size_t blocks) {
   runtime::ReplayStreamConfig stream_config;
   stream_config.blocks = blocks;
   stream_config.seed = kStreamSeed;
@@ -97,14 +90,29 @@ RunResult run_stream(const market::MarketSnapshot& snapshot,
         snapshot.graph.pool_count());
     stream = injector.get();
   }
-  std::size_t events = 0;
-  while (auto event = stream->next()) {
-    EXPECT_TRUE(service->publish(*event));
-    ++events;
-  }
+  std::vector<runtime::PoolUpdateEvent> events;
+  while (auto event = stream->next()) events.push_back(*event);
   // The clean stream delivers exactly blocks * pool_count (>= 1000)
   // events; the faulted one drops/duplicates a few percent around that.
-  EXPECT_GE(events, 900u) << "the sweep is specified over ~1000 events";
+  EXPECT_GE(events.size(), 900u) << "the sweep is specified over ~1000 events";
+  return events;
+}
+
+/// Replays the events through a service with `shards` shards and returns
+/// the observable outcome.
+RunResult run_stream(const market::MarketSnapshot& snapshot,
+                     const core::ScannerConfig& scanner_config,
+                     std::size_t shards,
+                     const std::vector<runtime::PoolUpdateEvent>& events) {
+  runtime::ServiceConfig config;
+  config.scanner = scanner_config;
+  config.worker_threads = 2;
+  config.shards = shards;
+  config.max_batch = 1;  // batch composition == stream order (see header)
+  auto service = runtime::ScannerService::start(snapshot, config).value();
+  for (const runtime::PoolUpdateEvent& event : events) {
+    EXPECT_TRUE(service->publish(event));
+  }
   service->drain();
   EXPECT_TRUE(service->status().ok()) << service->status().error().message;
 
@@ -122,38 +130,63 @@ RunResult run_stream(const market::MarketSnapshot& snapshot,
   return result;
 }
 
+/// Serial reference: one K=1 scanner, no worker pool, one apply() per
+/// event — the accepted event, or an empty batch for a rejected one, as
+/// the max_batch = 1 service runs it. Quarantine transitions are applied
+/// before each apply(), in stream order.
+RunResult run_serial(const market::MarketSnapshot& snapshot,
+                     const core::ScannerConfig& scanner_config,
+                     const std::vector<runtime::PoolUpdateEvent>& events) {
+  auto scanner =
+      runtime::IncrementalScanner::create(snapshot, scanner_config).value();
+  runtime::EventValidator mirror(snapshot.graph, runtime::ValidationConfig{});
+  RunResult result;
+  std::vector<runtime::PoolUpdateEvent> batch;
+  for (const runtime::PoolUpdateEvent& event : events) {
+    const runtime::EventVerdict verdict = mirror.check(event);
+    if (verdict.entered_quarantine) scanner.set_quarantined(event.pool, true);
+    if (verdict.released_quarantine) {
+      scanner.set_quarantined(event.pool, false);
+    }
+    batch.clear();
+    if (verdict.accepted) {
+      batch.push_back(event);
+    } else {
+      ++result.rejected[static_cast<std::size_t>(verdict.reason)];
+    }
+    auto report = scanner.apply(batch);
+    if (!report) {
+      ADD_FAILURE() << report.error().message;
+      break;
+    }
+    result.repriced += report->repriced;
+  }
+  result.opportunities = scanner.collect();
+  result.quarantined = mirror.quarantined_pools();
+  return result;
+}
+
 /// Mirror reference: the accepted-event state and quarantine trajectory
 /// the service should end at, replayed on the side (same construction as
 /// the chaos differential).
 market::MarketSnapshot mirror_reference(
     const market::MarketSnapshot& snapshot,
-    const runtime::ValidationConfig& validation, double fault_rate,
-    std::size_t blocks, std::vector<PoolId>& quarantined_out) {
-  runtime::ReplayStreamConfig stream_config;
-  stream_config.blocks = blocks;
-  stream_config.seed = kStreamSeed;
-  runtime::ReplayUpdateStream inner(snapshot, stream_config);
-  runtime::UpdateStream* stream = &inner;
-  std::unique_ptr<runtime::FaultInjector> injector;
-  if (fault_rate > 0.0) {
-    injector = std::make_unique<runtime::FaultInjector>(
-        inner, runtime::FaultProfile::uniform(fault_rate, kFaultSeed),
-        snapshot.graph.pool_count());
-    stream = injector.get();
-  }
+    const runtime::ValidationConfig& validation,
+    const std::vector<runtime::PoolUpdateEvent>& events,
+    std::vector<PoolId>& quarantined_out) {
   market::MarketSnapshot reference = snapshot;
   runtime::EventValidator mirror(reference.graph, validation);
-  while (auto event = stream->next()) {
-    if (!mirror.check(*event).accepted) continue;
-    if (event->liquidity > 0.0) {
+  for (const runtime::PoolUpdateEvent& event : events) {
+    if (!mirror.check(event).accepted) continue;
+    if (event.liquidity > 0.0) {
       EXPECT_TRUE(reference.graph
-                      .set_concentrated_state(event->pool, event->liquidity,
-                                              event->price)
+                      .set_concentrated_state(event.pool, event.liquidity,
+                                              event.price)
                       .ok());
     } else {
       EXPECT_TRUE(reference.graph
-                      .set_pool_reserves(event->pool, event->reserve0,
-                                         event->reserve1)
+                      .set_pool_reserves(event.pool, event.reserve0,
+                                         event.reserve1)
                       .ok());
     }
   }
@@ -161,23 +194,22 @@ market::MarketSnapshot mirror_reference(
   return reference;
 }
 
-/// The full sweep at one pipeline depth: identical streams at every K,
-/// cross-compared and (when `check_scan` is set) compared against the
-/// fresh-scan oracle. Returns the K=1 run for cross-depth comparison.
-RunResult run_shard_sweep(const market::MarketSnapshot& snapshot,
-                          const core::ScannerConfig& scanner_config,
-                          std::size_t depth, double fault_rate,
-                          std::size_t blocks, bool check_scan) {
-  SCOPED_TRACE("fault rate " + std::to_string(fault_rate) + ", depth " +
-               std::to_string(depth));
+/// The full sweep: identical streams at every K, cross-compared, compared
+/// with the serial reference and (when `check_scan` is set) with the
+/// fresh-scan oracle.
+void run_shard_sweep(const market::MarketSnapshot& snapshot,
+                     const core::ScannerConfig& scanner_config,
+                     double fault_rate, std::size_t blocks, bool check_scan) {
+  SCOPED_TRACE("fault rate " + std::to_string(fault_rate));
+  const std::vector<runtime::PoolUpdateEvent> events =
+      stream_events(snapshot, fault_rate, blocks);
   std::vector<RunResult> runs;
   for (const std::size_t k : kShardSweep) {
     SCOPED_TRACE("shards " + std::to_string(k));
-    runs.push_back(
-        run_stream(snapshot, scanner_config, k, depth, fault_rate, blocks));
+    runs.push_back(run_stream(snapshot, scanner_config, k, events));
     if (runs.back().shard_repriced.size() != k) {
       ADD_FAILURE() << "expected " << k << " shard counters";
-      return runs.front();
+      return;
     }
   }
   const RunResult& base = runs.front();
@@ -189,11 +221,15 @@ RunResult run_shard_sweep(const market::MarketSnapshot& snapshot,
     for (const std::uint64_t n : runs[i].shard_repriced) shard_total += n;
     EXPECT_EQ(shard_total, runs[i].repriced);
   }
-  if (!check_scan) return base;
+  {
+    SCOPED_TRACE("serial apply vs K=1 service");
+    expect_same_run(run_serial(snapshot, scanner_config, events), base);
+  }
+  if (!check_scan) return;
 
   std::vector<PoolId> quarantined;
   const market::MarketSnapshot reference = mirror_reference(
-      snapshot, runtime::ValidationConfig{}, fault_rate, blocks, quarantined);
+      snapshot, runtime::ValidationConfig{}, events, quarantined);
   EXPECT_EQ(base.quarantined, quarantined);
   std::unordered_set<std::uint32_t> dead;
   for (const PoolId pool : quarantined) dead.insert(pool.value());
@@ -207,7 +243,6 @@ RunResult run_shard_sweep(const market::MarketSnapshot& snapshot,
                        });
   });
   expect_identical(expected, base.opportunities);
-  return base;
 }
 
 TEST(ShardDifferentialTest, AllCpmmMarket) {
@@ -220,19 +255,10 @@ TEST(ShardDifferentialTest, AllCpmmMarket) {
   core::ScannerConfig scanner;
   scanner.loop_lengths = {3};
   // 40 pools x 25 blocks = 1000 clean events; the faulted replay pulls
-  // the same stream through the injector. The full depth x K matrix runs
-  // here (the cheap market); the heavier markets below sample it.
+  // the same stream through the injector.
   for (const double rate : {0.0, 0.10}) {
-    std::vector<RunResult> per_depth;
-    for (const std::size_t depth : {1, 2, 3}) {
-      per_depth.push_back(run_shard_sweep(snapshot, scanner, depth, rate,
-                                          /*blocks=*/25, /*check_scan=*/true));
-    }
-    for (std::size_t i = 1; i < per_depth.size(); ++i) {
-      SCOPED_TRACE("fault rate " + std::to_string(rate) + ": depth " +
-                   std::to_string(i + 1) + " vs depth 1");
-      expect_same_run(per_depth.front(), per_depth[i]);
-    }
+    run_shard_sweep(snapshot, scanner, rate, /*blocks=*/25,
+                    /*check_scan=*/true);
   }
 }
 
@@ -251,15 +277,8 @@ TEST(ShardDifferentialTest, MixedVenueMarket) {
   scanner.loop_lengths = {3};
   scanner.strategy = core::StrategyKind::kConvexOptimization;
   for (const double rate : {0.0, 0.10}) {
-    const RunResult base = run_shard_sweep(snapshot, scanner, /*depth=*/2,
-                                           rate, /*blocks=*/21,
-                                           /*check_scan=*/true);
-    // One deeper-pipeline probe per rate (the generic solver makes the
-    // full matrix too slow for tier 1): K=4 at depth 3 must match.
-    SCOPED_TRACE("fault rate " + std::to_string(rate) +
-                 ": K=4 depth 3 vs K=1 depth 2");
-    expect_same_run(base, run_stream(snapshot, scanner, /*shards=*/4,
-                                     /*depth=*/3, rate, /*blocks=*/21));
+    run_shard_sweep(snapshot, scanner, rate, /*blocks=*/21,
+                    /*check_scan=*/true);
   }
 }
 
@@ -271,22 +290,17 @@ TEST(ShardDifferentialTest, WarmStartsIdenticalAcrossShards) {
 
   // Warm starts make each solve depend on the cycle's *own* history,
   // which shards preserve exactly (exclusive slot ownership) and the
-  // depth-pinned batching keeps identical across runs — so the sweep
-  // must still agree across K and depth. The fresh-scan oracle is
-  // skipped: a warm-started trajectory legitimately differs from a cold
-  // scan at the last-ulp level.
+  // pinned batching keeps identical across runs — so the sweep must still
+  // agree across K and with the serial reference. The fresh-scan oracle
+  // is skipped: a warm-started trajectory legitimately differs from a
+  // cold scan at the last-ulp level.
   core::ScannerConfig scanner;
   scanner.loop_lengths = {3};
   scanner.strategy = core::StrategyKind::kConvexOptimization;
   scanner.convex_warm_start = true;
   for (const double rate : {0.0, 0.10}) {
-    const RunResult base = run_shard_sweep(snapshot, scanner, /*depth=*/2,
-                                           rate, /*blocks=*/25,
-                                           /*check_scan=*/false);
-    SCOPED_TRACE("fault rate " + std::to_string(rate) +
-                 ": K=8 depth 3 vs K=1 depth 2");
-    expect_same_run(base, run_stream(snapshot, scanner, /*shards=*/8,
-                                     /*depth=*/3, rate, /*blocks=*/25));
+    run_shard_sweep(snapshot, scanner, rate, /*blocks=*/25,
+                    /*check_scan=*/false);
   }
 }
 

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/scanner.hpp"
 #include "market/generator.hpp"
+#include "runtime/validation.hpp"
 #include "sim/replay.hpp"
 #include "tests/core/fixtures.hpp"
 
@@ -179,7 +181,7 @@ TEST(IncrementalScannerTest, UntouchedPoolsAreNotRepriced) {
   EXPECT_EQ(report.repriced, 2u);
 }
 
-/// Drives the staged epoch API at pipeline depth 2 — begin_epoch(N+1)
+/// Drives the staged epoch API the way the service does — begin_epoch(N+1)
 /// while epoch N's reprice is still in flight — against the serial
 /// apply() on a twin scanner, with identical random batches. The ranked
 /// sets must stay bit-identical after every harvest: the frozen-front /
@@ -272,6 +274,55 @@ TEST(IncrementalScannerTest, RejectsBadEvents) {
   std::vector<PoolUpdateEvent> negative;
   negative.push_back({m.xy, -1.0, 5.0, 0});
   EXPECT_FALSE(scanner.apply(negative).ok());
+}
+
+// Reserves the validator accepts must price or fail with the typed
+// numeric error, never throw: pool 0 of the Section V market swept over
+// 10^a / 10^b for a, b in {-300, -280, ..., 300}, for every strategy.
+TEST(IncrementalScannerTest, ExtremeReservesNeverThrow) {
+  const Section5Market m;
+  market::MarketSnapshot snapshot;
+  snapshot.graph = m.graph;
+  snapshot.prices = m.prices;
+  for (const core::StrategyKind strategy :
+       {core::StrategyKind::kMaxMax, core::StrategyKind::kMaxPrice,
+        core::StrategyKind::kConvexOptimization}) {
+    SCOPED_TRACE(core::to_string(strategy));
+    core::ScannerConfig config;
+    config.loop_lengths = {3};
+    config.strategy = strategy;
+    EventValidator validator(snapshot.graph);
+    std::size_t accepted = 0;
+    std::size_t priced = 0;
+    std::size_t numeric_failures = 0;
+    std::size_t throws = 0;
+    std::uint64_t sequence = 0;
+    for (int a = -300; a <= 300; a += 20) {
+      for (int b = -300; b <= 300; b += 20) {
+        const PoolUpdateEvent event{m.xy, std::pow(10.0, a),
+                                    std::pow(10.0, b), ++sequence};
+        if (!validator.check(event).accepted) continue;
+        ++accepted;
+        auto scanner = IncrementalScanner::create(snapshot, config).value();
+        try {
+          const Result<ApplyReport> report = scanner.apply({event});
+          if (report.ok()) {
+            ++priced;
+          } else if (report.error().code == ErrorCode::kNumericFailure) {
+            ++numeric_failures;
+          } else {
+            ADD_FAILURE() << "10^" << a << " / 10^" << b << ": "
+                          << report.error().to_string();
+          }
+        } catch (...) {
+          ++throws;
+        }
+      }
+    }
+    EXPECT_EQ(accepted, 961u);
+    EXPECT_EQ(throws, 0u);
+    EXPECT_EQ(priced + numeric_failures, accepted);
+  }
 }
 
 TEST(IncrementalScannerTest, CreateValidatesConfig) {

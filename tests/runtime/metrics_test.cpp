@@ -162,10 +162,10 @@ TEST(RuntimeMetricsTest, EveryRowFlowsThroughSnapshotSummaryAndCsv) {
   }
   EXPECT_EQ(snap.events_rejected_total(), rejected);
 
-  // Every column the CSV has ever written stays, so consumers that look
-  // columns up by name keep working.
+  // Every column of a kept metric stays, so consumers that look columns
+  // up by name keep working.
   const std::vector<std::string> kPinnedColumns = {
-      "events_ingested", "events_dropped", "events_coalesced", "batches",
+      "events_ingested", "events_coalesced", "batches",
       "loops_repriced", "queue_depth", "solver_iterations", "warm_hits",
       "warm_misses", "reprice_samples", "reprice_p50_us", "reprice_p90_us",
       "reprice_p99_us", "reprice_max_us", "loops_repriced_cpmm",
@@ -177,14 +177,14 @@ TEST(RuntimeMetricsTest, EveryRowFlowsThroughSnapshotSummaryAndCsv) {
       "rejected_stale_sequence", "pools_quarantined", "pools_quarantined_now",
       "resyncs", "solver_fallbacks", "shards", "shard_imbalance",
       "shard_repriced_min", "shard_repriced_max", "warm_invalidations",
-      "worker_queue_depth", "pipeline_depth", "epoch_lag",
+      "worker_queue_depth", "epoch_lag",
       "stage_validate_p50_us", "stage_validate_p99_us", "stage_write_p50_us",
       "stage_write_p99_us", "loops_repriced_mixed_fast",
       "loops_repriced_mixed_generic", "routing_queries", "routing_direct",
       "routing_water_filling", "routing_flow_solves", "routing_failures",
       "routing_samples", "routing_p50_us", "routing_p99_us",
       "routing_max_us"};
-  ASSERT_EQ(kPinnedColumns.size(), 57u);
+  ASSERT_EQ(kPinnedColumns.size(), 55u);
   for (const std::string& column : kPinnedColumns) {
     EXPECT_NE(std::find(table.header.begin(), table.header.end(), column),
               table.header.end())
@@ -201,10 +201,9 @@ TEST(RuntimeMetricsTest, DefaultSnapshotHasSingleShardGauges) {
   EXPECT_EQ(snap.shard_repriced_max(), 0u);
 }
 
-TEST(RuntimeMetricsTest, DefaultSnapshotIsSerialDepthOne) {
+TEST(RuntimeMetricsTest, DefaultSnapshotHasIdlePipeline) {
   RuntimeMetrics metrics;
   const MetricsSnapshot snap = metrics.snapshot();
-  EXPECT_EQ(snap[Gauge::pipeline_depth], 1.0);
   EXPECT_EQ(snap[Gauge::epoch_lag], 0.0);
   EXPECT_EQ(snap[Counter::warm_invalidations], 0u);
   EXPECT_EQ(snap[Latency::stage_validate].samples, 0u);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/scanner.hpp"
@@ -64,7 +67,6 @@ TEST(ScannerServiceTest, ConvergesToFullScanOfFinalState) {
 
   const MetricsSnapshot metrics = service->metrics();
   EXPECT_EQ(metrics[Counter::events_ingested], published);
-  EXPECT_EQ(metrics[Counter::events_dropped], 0u);
   EXPECT_GE(metrics[Counter::batches], 1u);
   EXPECT_GT(metrics[Counter::loops_repriced], 0u);
   EXPECT_EQ(metrics[Latency::reprice].samples, metrics[Counter::batches]);
@@ -72,85 +74,6 @@ TEST(ScannerServiceTest, ConvergesToFullScanOfFinalState) {
   EXPECT_LE(metrics[Latency::reprice].p50_us,
             metrics[Latency::reprice].max_us);
   service->stop();
-}
-
-TEST(ScannerServiceTest, DropNewestCountsDrops) {
-  const auto snapshot = test_snapshot();
-  ServiceConfig config;
-  config.scanner.loop_lengths = {3};
-  config.worker_threads = 1;
-  config.queue_capacity = 2;
-  config.max_batch = 2;
-  config.backpressure = BackpressurePolicy::kDropNewest;
-  auto service = ScannerService::start(snapshot, config).value();
-
-  // Publish a burst far beyond capacity from this thread; some must be
-  // accepted, and every publish must report its fate truthfully.
-  const amm::AnyPool& pool = snapshot.graph.pool(PoolId{0});
-  std::size_t accepted = 0;
-  std::size_t rejected = 0;
-  for (std::uint64_t i = 0; i < 200; ++i) {
-    PoolUpdateEvent event;
-    event.pool = pool.id();
-    event.reserve0 = pool.reserve0() * (1.0 + 1e-6 * static_cast<double>(i));
-    event.reserve1 = pool.reserve1();
-    event.sequence = i;
-    if (service->publish(event)) {
-      ++accepted;
-    } else {
-      ++rejected;
-    }
-  }
-  service->drain();
-  const MetricsSnapshot metrics = service->metrics();
-  EXPECT_EQ(metrics[Counter::events_ingested], accepted);
-  EXPECT_EQ(metrics[Counter::events_dropped], rejected);
-  EXPECT_GT(accepted, 0u);
-  service->stop();
-}
-
-TEST(ScannerServiceTest, DropOldestAcceptsEverything) {
-  const auto snapshot = test_snapshot();
-  // K = 4 spreads the pools over validator shards; eviction must still
-  // take the globally oldest queued event.
-  for (const std::size_t shards : {1, 4}) {
-    SCOPED_TRACE("shards " + std::to_string(shards));
-    ServiceConfig config;
-    config.scanner.loop_lengths = {3};
-    config.worker_threads = 1;
-    config.shards = shards;
-    config.queue_capacity = 2;
-    config.max_batch = 2;
-    config.backpressure = BackpressurePolicy::kDropOldest;
-    auto service = ScannerService::start(snapshot, config).value();
-
-    // Round-robin over eight pools, every event a distinct state.
-    std::vector<PoolUpdateEvent> published;
-    for (std::uint64_t i = 0; i < 100; ++i) {
-      const amm::AnyPool& pool = snapshot.graph.pool(
-          PoolId{static_cast<PoolId::underlying_type>(i % 8)});
-      PoolUpdateEvent event;
-      event.pool = pool.id();
-      event.reserve0 = pool.reserve0() * (1.0 + 1e-6 * static_cast<double>(i));
-      event.reserve1 = pool.reserve1();
-      event.sequence = i + 1;
-      EXPECT_TRUE(service->publish(event));
-      published.push_back(event);
-    }
-    service->drain();
-    ASSERT_TRUE(service->status().ok());
-    const MetricsSnapshot metrics = service->metrics();
-    EXPECT_EQ(metrics[Counter::events_ingested], 100u);
-    // Evicting the oldest never touches the last two events (the queue
-    // holds two), so both land whatever the consumer's timing.
-    service->with_snapshot([&](const market::MarketSnapshot& committed) {
-      for (std::size_t i = published.size() - 2; i < published.size(); ++i) {
-        EXPECT_EQ(committed.graph.pool(published[i].pool).reserve0(),
-                  published[i].reserve0);
-      }
-    });
-    service->stop();
-  }
 }
 
 // Gate rejects are counted as loops_gated, never as per-kind solves: a
@@ -236,25 +159,115 @@ TEST(ScannerServiceTest, RejectsBadEventAndContinues) {
   service->stop();
 }
 
-// validate=false restores the pre-validation fail-fast contract for
-// trusted in-process streams: the first bad event stops the service.
-TEST(ScannerServiceTest, StopsOnBadEventWithoutValidation) {
-  const auto snapshot = test_snapshot();
+// Reserves the validator accepts but the solver cannot price: the
+// closed-form optimum of the Section V loop through (1e-300, 1e20) is not
+// finite. Every strategy must stop the service with the typed numeric
+// failure rather than throw on a worker thread.
+TEST(ScannerServiceTest, ExtremeReservesStopWithNumericFailure) {
+  const core::testing::Section5Market m;
+  market::MarketSnapshot snapshot;
+  snapshot.graph = m.graph;
+  snapshot.prices = m.prices;
+  for (const core::StrategyKind strategy :
+       {core::StrategyKind::kMaxMax, core::StrategyKind::kMaxPrice,
+        core::StrategyKind::kConvexOptimization}) {
+    SCOPED_TRACE(core::to_string(strategy));
+    ServiceConfig config;
+    config.scanner.loop_lengths = {3};
+    config.scanner.strategy = strategy;
+    config.worker_threads = 1;
+    auto service = ScannerService::start(snapshot, config).value();
+    PoolUpdateEvent event;
+    event.pool = m.xy;
+    event.reserve0 = 1e-300;
+    event.reserve1 = 1e20;
+    event.sequence = 1;
+    ASSERT_TRUE(service->publish(event));
+    service->drain();
+    const Status status = service->status();
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.error().code, ErrorCode::kNumericFailure)
+        << status.error().message;
+    service->stop();
+  }
+}
+
+// Once the consumer has stopped on an error, publish() refuses events
+// (they would never be applied) and wakes producers waiting for space.
+TEST(ScannerServiceTest, FailedServiceRefusesEvents) {
+  const core::testing::Section5Market m;
+  market::MarketSnapshot snapshot;
+  snapshot.graph = m.graph;
+  snapshot.prices = m.prices;
   ServiceConfig config;
   config.scanner.loop_lengths = {3};
   config.worker_threads = 1;
-  config.validate = false;
+  config.queue_capacity = 4;
   auto service = ScannerService::start(snapshot, config).value();
 
   PoolUpdateEvent bad;
-  bad.pool = PoolId{static_cast<PoolId::underlying_type>(
-      snapshot.graph.pool_count() + 7)};
-  bad.reserve0 = 1.0;
+  bad.pool = m.xy;
+  bad.reserve0 = 1e-300;
   bad.reserve1 = 1.0;
+  bad.sequence = 1;
   ASSERT_TRUE(service->publish(bad));
   service->drain();
-  EXPECT_FALSE(service->status().ok());
+  ASSERT_FALSE(service->status().ok());
+  EXPECT_EQ(service->status().error().code, ErrorCode::kNumericFailure);
+
+  PoolUpdateEvent good;
+  good.pool = m.yz;
+  good.reserve0 = 301.0;
+  good.reserve1 = 200.0;
+  good.sequence = 2;
+  EXPECT_FALSE(service->publish(good));
   service->stop();
+}
+
+TEST(ScannerServiceTest, FailureWakesBlockedProducer) {
+  const core::testing::Section5Market m;
+  market::MarketSnapshot snapshot;
+  snapshot.graph = m.graph;
+  snapshot.prices = m.prices;
+  ServiceConfig config;
+  config.scanner.loop_lengths = {3};
+  config.worker_threads = 1;
+  config.queue_capacity = 1;
+  config.max_batch = 1;
+  auto service = ScannerService::start(snapshot, config).value();
+
+  // The producer publishes until an event is refused; the first event
+  // stops the consumer with a numeric failure.
+  std::promise<bool> last;
+  std::future<bool> returned = last.get_future();
+  std::thread producer;
+  // Holding the scanner lock stalls the consumer on its first batch, so
+  // the one-slot queue fills and the producer blocks behind it: no
+  // publish can be refused before the consumer runs.
+  service->with_snapshot([&](const market::MarketSnapshot&) {
+    producer = std::thread([&] {
+      bool accepted = true;
+      for (std::uint64_t i = 1; i <= 64 && accepted; ++i) {
+        PoolUpdateEvent event;
+        event.pool = m.xy;
+        event.reserve0 = i == 1 ? 1e-300 : 100.0 + static_cast<double>(i);
+        event.reserve1 = i == 1 ? 1.0 : 200.0;
+        event.sequence = i;
+        accepted = service->publish(event);
+      }
+      last.set_value(accepted);
+    });
+    EXPECT_EQ(returned.wait_for(std::chrono::milliseconds(200)),
+              std::future_status::timeout);
+  });
+  // Released, the consumer fails and must wake the blocked producer.
+  const bool woke =
+      returned.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  service->stop();  // frees a producer a failed consumer left waiting
+  producer.join();
+  EXPECT_TRUE(woke) << "producer still blocked 10 s after the failure";
+  EXPECT_FALSE(returned.get());
+  EXPECT_FALSE(service->status().ok());
 }
 
 TEST(ScannerServiceTest, ValidatesConfig) {
@@ -268,28 +281,24 @@ TEST(ScannerServiceTest, ValidatesConfig) {
   ServiceConfig no_threads;
   no_threads.worker_threads = 0;
   EXPECT_FALSE(ScannerService::start(snapshot, no_threads).ok());
-  // Depth 0 would mean "never run the stages" — rejected up front.
-  ServiceConfig no_depth;
-  no_depth.pipeline_depth = 0;
-  EXPECT_FALSE(ScannerService::start(snapshot, no_depth).ok());
 }
 
-TEST(ScannerServiceTest, PipelineDepthsConvergeIdentically) {
+TEST(ScannerServiceTest, BatchSizesConvergeIdentically) {
   const auto snapshot = test_snapshot();
 
-  // The same stream at depths 1 (serial), 2 (write/reprice overlap) and
-  // 4 (plus prefetch) must land on identical ranked sets and identical
-  // pipeline-independent counters — the service-level face of the
-  // staged-epoch bit-identity contract.
+  // The same stream in batches of at most 1, 8 and 256 events must land
+  // on identical ranked sets and identical ingest counts — the
+  // service-level face of the staged-epoch bit-identity contract (batch
+  // boundaries and coalescing change, the final state does not).
   std::vector<std::vector<core::Opportunity>> results;
   std::vector<std::uint64_t> ingested;
-  for (const std::size_t depth : {1, 2, 4}) {
+  for (const std::size_t max_batch : {1, 8, 256}) {
+    SCOPED_TRACE("max_batch " + std::to_string(max_batch));
     ServiceConfig config;
     config.scanner.loop_lengths = {3};
     config.worker_threads = 2;
     config.shards = 2;
-    config.pipeline_depth = depth;
-    config.max_batch = 8;
+    config.max_batch = max_batch;
     auto service = ScannerService::start(snapshot, config).value();
 
     ReplayStreamConfig stream_config;
@@ -303,13 +312,12 @@ TEST(ScannerServiceTest, PipelineDepthsConvergeIdentically) {
     ASSERT_TRUE(service->status().ok());
 
     const MetricsSnapshot metrics = service->metrics();
-    EXPECT_EQ(metrics[Gauge::pipeline_depth], depth);
     EXPECT_EQ(metrics[Gauge::epoch_lag], 0u);  // drained == settled
     EXPECT_GE(metrics[Counter::batches], 1u);
     EXPECT_EQ(metrics[Latency::reprice].samples, metrics[Counter::batches]);
     EXPECT_EQ(metrics[Latency::stage_write].samples,
               metrics[Counter::batches]);
-    EXPECT_GE(metrics[Latency::stage_validate].samples,
+    EXPECT_EQ(metrics[Latency::stage_validate].samples,
               metrics[Counter::batches]);
     results.push_back(service->opportunities());
     ingested.push_back(metrics[Counter::events_ingested]);

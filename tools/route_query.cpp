@@ -5,8 +5,10 @@
 // Usage: route_query [--snapshot DIR] [--max-hops N] [--max-paths N]
 //                    FROM TO AMOUNT
 // Defaults: the repo's data/sample_snapshot, 3 hops, 8 paths. FROM/TO
-// are token symbols (first match wins). Prints the split table (per-path
-// pools, input, output) plus the solve method and certificate.
+// are token symbols (first match wins); AMOUNT must be a finite number and
+// N a positive integer, or the usage is printed and the exit code is 2.
+// Prints the split table (per-path pools, input, output) plus the solve
+// method and certificate.
 
 #include <cstdio>
 #include <cstdlib>
@@ -17,6 +19,7 @@
 #include "core/router.hpp"
 #include "market/io.hpp"
 #include "market/snapshot.hpp"
+#include "cli_args.hpp"
 
 using namespace arb;
 
@@ -32,6 +35,13 @@ namespace {
                "usage: route_query [--snapshot DIR] [--max-hops N] "
                "[--max-paths N] FROM TO AMOUNT\n");
   std::exit(2);
+}
+
+/// The parsed value, or the usage message and exit 2.
+template <typename T>
+T or_usage(std::optional<T> value) {
+  if (!value) usage();
+  return *value;
 }
 
 const char* method_name(core::RouteMethod method) {
@@ -69,9 +79,9 @@ int main(int argc, char** argv) {
     if (arg == "--snapshot" && i + 1 < argc) {
       dir = argv[++i];
     } else if (arg == "--max-hops" && i + 1 < argc) {
-      query.max_hops = static_cast<std::size_t>(std::atoi(argv[++i]));
+      query.max_hops = or_usage(tools::parse_count(argv[++i]));
     } else if (arg == "--max-paths" && i + 1 < argc) {
-      query.max_paths = static_cast<std::size_t>(std::atoi(argv[++i]));
+      query.max_paths = or_usage(tools::parse_count(argv[++i]));
     } else if (!arg.empty() && arg[0] == '-') {
       usage();
     } else {
@@ -79,7 +89,7 @@ int main(int argc, char** argv) {
     }
   }
   if (positional.size() != 3) usage();
-  query.amount_in = std::atof(positional[2].c_str());
+  query.amount_in = or_usage(tools::parse_finite(positional[2].c_str()));
 
   auto loaded = market::load_snapshot(dir);
   if (!loaded) die("load_snapshot(" + dir + ")", loaded.error());

@@ -2,21 +2,22 @@
 // it as a pool-update stream through the ScannerService, and reports the
 // ranked opportunity set plus the metrics layer's view of the run.
 //
-// Usage: runtime_daemon [--shards N] [--pipeline-depth N] [snapshot_dir]
-//                       [blocks] [worker_threads] [fault_rate] [fault_seed]
+// Usage: runtime_daemon [--shards N] [snapshot_dir] [blocks]
+//                       [worker_threads] [fault_rate] [fault_seed]
 // Defaults: the repo's data/sample_snapshot, 50 blocks, 4 threads, one
-// shard, pipeline depth 2, no fault injection. --shards N partitions the
-// cycle universe across N parallel shard scanners (the ranked output is
-// bit-identical for any N). --pipeline-depth N overlaps epoch N+1's
-// validate/write stages with epoch N's repricing (1 = fully serial;
-// >2 additionally prefetches validated batches; output is bit-identical
-// at any depth). A positive fault_rate wraps the stream in a seeded
-// FaultInjector (uniform rate across all five fault classes) to exercise
-// the validation/quarantine stage; the run then reports the injector's
-// fault counts next to the service's rejection metrics.
+// shard, no fault injection. --shards N partitions the cycle universe
+// across N parallel shard scanners (the ranked output is bit-identical
+// for any N). Counts must be positive integers and fault_rate a number
+// in [0, 1]; anything else prints the usage and exits 2. The service
+// validates every event and overlaps epoch N+1's validate/write stages
+// with epoch N's repricing. A positive fault_rate wraps the stream in a
+// seeded FaultInjector (uniform rate across all five fault classes) to
+// exercise the validation/quarantine stage; the run then reports the
+// injector's fault counts next to the service's rejection metrics.
 // Writes runtime_metrics.csv (one metrics snapshot per block, including
 // the per-stage latency and epoch-lag columns).
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -30,6 +31,7 @@
 #include "runtime/replay_stream.hpp"
 #include "runtime/service.hpp"
 #include "runtime/validation.hpp"
+#include "cli_args.hpp"
 
 using namespace arb;
 
@@ -40,54 +42,50 @@ namespace {
   std::exit(1);
 }
 
+[[noreturn]] void usage() {
+  std::fprintf(stderr,
+               "usage: runtime_daemon [--shards N] [snapshot_dir] [blocks] "
+               "[worker_threads] [fault_rate] [fault_seed]\nblocks, "
+               "worker_threads and shards must be positive integers, "
+               "fault_rate in [0, 1], fault_seed a non-negative integer\n");
+  std::exit(2);
+}
+
+/// The parsed value, or the usage message and exit 2.
+template <typename T>
+T or_usage(std::optional<T> value) {
+  if (!value) usage();
+  return *value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  int shards_arg = 1;
-  int depth_arg = 2;
+  std::size_t shards = 1;
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--shards") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--shards needs a value\n");
-        return 2;
-      }
-      shards_arg = std::atoi(argv[++i]);
-      continue;
+    const std::string arg = argv[i];
+    if (arg == "--shards" && i + 1 < argc) {
+      shards = or_usage(tools::parse_count(argv[++i]));
+    } else if (arg.size() > 1 && arg[0] == '-') {
+      usage();
+    } else {
+      positional.push_back(arg);
     }
-    if (std::string(argv[i]) == "--pipeline-depth") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--pipeline-depth needs a value\n");
-        return 2;
-      }
-      depth_arg = std::atoi(argv[++i]);
-      continue;
-    }
-    positional.emplace_back(argv[i]);
   }
+  if (positional.size() > 5) usage();
   const std::string dir =
       !positional.empty() ? positional[0]
                           : std::string(ARB_REPO_DIR) + "/data/sample_snapshot";
-  const int blocks_arg =
-      positional.size() > 1 ? std::atoi(positional[1].c_str()) : 50;
-  const int threads_arg =
-      positional.size() > 2 ? std::atoi(positional[2].c_str()) : 4;
-  const double fault_rate =
-      positional.size() > 3 ? std::atof(positional[3].c_str()) : 0.0;
-  const long long fault_seed =
-      positional.size() > 4 ? std::atoll(positional[4].c_str()) : 1;
-  if (blocks_arg <= 0 || threads_arg <= 0 || shards_arg <= 0 ||
-      depth_arg <= 0 || fault_rate < 0.0 || fault_rate > 1.0) {
-    std::fprintf(stderr,
-                 "usage: runtime_daemon [--shards N] [--pipeline-depth N] "
-                 "[snapshot_dir] [blocks] [worker_threads] [fault_rate] "
-                 "[fault_seed]\nblocks, worker_threads, shards and "
-                 "pipeline-depth must be positive integers, fault_rate in "
-                 "[0, 1]\n");
-    return 2;
-  }
-  const auto blocks = static_cast<std::size_t>(blocks_arg);
-  const auto threads = static_cast<std::size_t>(threads_arg);
+  const auto arg = [&](std::size_t i, auto parse, auto fallback) {
+    return positional.size() > i ? or_usage(parse(positional[i].c_str()))
+                                 : fallback;
+  };
+  const std::size_t blocks = arg(1, tools::parse_count, std::uint64_t{50});
+  const std::size_t threads = arg(2, tools::parse_count, std::uint64_t{4});
+  const double fault_rate = arg(3, tools::parse_finite, 0.0);
+  const std::uint64_t fault_seed = arg(4, tools::parse_uint, std::uint64_t{1});
+  if (fault_rate < 0.0 || fault_rate > 1.0) usage();
 
   auto loaded = market::load_snapshot(dir);
   if (!loaded) die("load_snapshot(" + dir + ")", loaded.error());
@@ -112,8 +110,7 @@ int main(int argc, char** argv) {
   runtime::ServiceConfig config;
   config.scanner.loop_lengths = {3};
   config.worker_threads = threads;
-  config.shards = static_cast<std::size_t>(shards_arg);
-  config.pipeline_depth = static_cast<std::size_t>(depth_arg);
+  config.shards = shards;
   auto service = runtime::ScannerService::start(snapshot, config);
   if (!service) die("ScannerService::start", service.error());
 
@@ -124,8 +121,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<runtime::FaultInjector> injector;
   runtime::UpdateStream* stream = &replay;
   if (fault_rate > 0.0) {
-    const auto profile = runtime::FaultProfile::uniform(
-        fault_rate, static_cast<std::uint64_t>(fault_seed));
+    const auto profile = runtime::FaultProfile::uniform(fault_rate, fault_seed);
     injector = std::make_unique<runtime::FaultInjector>(
         replay, profile, snapshot.graph.pool_count());
     stream = injector.get();
@@ -208,10 +204,9 @@ int main(int argc, char** argv) {
               count(Counter::loops_gated));
   latency("  cpmm per-loop ", Latency::cpmm_reprice);
   latency("  mixed per-loop", Latency::mixed_reprice);
-  std::printf("pipeline: depth %llu, epoch lag %llu, worker queue %llu, "
+  std::printf("pipeline: epoch lag %llu, worker queue %llu, "
               "warm invalidations %llu\n",
-              count(Gauge::pipeline_depth), count(Gauge::epoch_lag),
-              count(Gauge::worker_queue_depth),
+              count(Gauge::epoch_lag), count(Gauge::worker_queue_depth),
               count(Counter::warm_invalidations));
   latency("  validate stage", Latency::stage_validate);
   latency("  write stage   ", Latency::stage_write);
