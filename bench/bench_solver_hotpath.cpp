@@ -3,11 +3,12 @@
 //       the Armijo line search — each measured with warm-up + median,
 //   (b) steady-state allocation count of the workspace barrier solve
 //       (must be zero: the whole point of SolveWorkspace),
-//   (c) cold-start vs warm-start barrier solves over a stream of reserve
-//       perturbations, enforcing the >=3x warm speedup bar,
-//   (d) closed-form 2-pool kernel vs the barrier solver on the same
-//       loop's flow instance (agreement to <=1e-9 relative profit and
-//       the analytic speedup).
+//   (c) cold-start vs warm-start barrier solves (solve_flow on the loop's
+//       one-cycle flow instance) over a stream of reserve perturbations,
+//       enforcing the >=3x warm speedup bar,
+//   (d) the active-set solver (solve_convex) vs the barrier solver on
+//       the same 2-pool loop's flow instance (agreement to <=1e-9
+//       relative profit and the speedup).
 // Emits BENCH_solver.json with median + p99 nanoseconds per section.
 // Set ARB_BENCH_RELAXED=1 to relax the performance bars (CI smoke runs
 // on shared hardware where a 3x median can wobble).
@@ -74,8 +75,8 @@ struct Market3 {
   }
 };
 
-/// Two pools between the same token pair, priced apart: the 2-loop the
-/// closed-form kernel handles.
+/// Two pools between the same token pair, priced apart: a 2-loop whose
+/// optimum retains profit in both tokens.
 struct Market2 {
   graph::TokenGraph graph;
   market::CexPriceFeed prices;
@@ -229,19 +230,26 @@ int main() {
 
   // -- (c) Cold vs warm over reserve perturbations --------------------------
   {
-    const core::ConvexOptions options;
-    core::ConvexContext cold_ctx;
-    core::ConvexContext warm_ctx;
+    const core::FlowOptions options;
+    core::FlowContext cold_ctx;
+    core::FlowContext warm_ctx;
     optim::WarmStart warm_slot;
     warm_ctx.warm = &warm_slot;
+    // The barrier on the loop's one-cycle instance, rebuilt from the
+    // current reserves (solve_convex answers this loop by active set).
+    const auto barrier_solve = [&](core::FlowContext& ctx, const char* what) {
+      return bench::expect_ok(
+          core::solve_flow(
+              bench::expect_ok(core::FlowInstance::from_cycle(
+                                   market.graph, market.prices, loop),
+                               "from_cycle"),
+              options, ctx),
+          what);
+    };
 
     // Prime: one solve fills the warm slot and grows both workspaces.
-    (void)bench::expect_ok(core::solve_convex(market.graph, market.prices,
-                                              loop, options, warm_ctx),
-                           "warm prime");
-    (void)bench::expect_ok(core::solve_convex(market.graph, market.prices,
-                                              loop, options, cold_ctx),
-                           "cold prime");
+    (void)barrier_solve(warm_ctx, "warm prime");
+    (void)barrier_solve(cold_ctx, "cold prime");
 
     constexpr int kEvents = 300;
     constexpr double kSpread = 0.01;  // +-1% reserve moves
@@ -266,32 +274,23 @@ int main() {
       }
 
       const auto warm_start_time = std::chrono::steady_clock::now();
-      const auto warm = bench::expect_ok(
-          core::solve_convex(market.graph, market.prices, loop, options,
-                             warm_ctx),
-          "warm solve");
+      const auto warm = barrier_solve(warm_ctx, "warm solve");
       warm_ns.push_back(std::chrono::duration<double, std::nano>(
                             std::chrono::steady_clock::now() - warm_start_time)
                             .count());
       warm_hits += warm_ctx.warm_hit ? 1 : 0;
-      warm_iters.push_back(
-          static_cast<double>(warm.outcome.solver_iterations));
+      warm_iters.push_back(static_cast<double>(warm.iterations));
 
       const auto cold_start_time = std::chrono::steady_clock::now();
-      const auto cold = bench::expect_ok(
-          core::solve_convex(market.graph, market.prices, loop, options,
-                             cold_ctx),
-          "cold solve");
+      const auto cold = barrier_solve(cold_ctx, "cold solve");
       cold_ns.push_back(std::chrono::duration<double, std::nano>(
                             std::chrono::steady_clock::now() - cold_start_time)
                             .count());
-      cold_iters.push_back(
-          static_cast<double>(cold.outcome.solver_iterations));
+      cold_iters.push_back(static_cast<double>(cold.iterations));
 
-      worst_disagreement = std::max(
-          worst_disagreement,
-          relative_difference(warm.outcome.monetized_usd,
-                              cold.outcome.monetized_usd));
+      worst_disagreement =
+          std::max(worst_disagreement,
+                   relative_difference(warm.objective, cold.objective));
     }
 
     const double cold_median = percentile(cold_ns, 0.50);
@@ -338,7 +337,7 @@ int main() {
     }
   }
 
-  // -- (d) Closed-form 2-pool kernel vs barrier ------------------------------
+  // -- (d) Active set vs barrier on a 2-pool loop ----------------------------
   {
     Market2 market2;
     const graph::Cycle loop2 = market2.loop();
@@ -347,50 +346,50 @@ int main() {
     const auto instance = bench::expect_ok(
         core::FlowInstance::from_cycle(market2.graph, market2.prices, loop2),
         "from_cycle");
-    core::ConvexContext closed_ctx;
+    core::ConvexContext exact_ctx;
     core::FlowContext barrier_ctx;
-    const auto closed = bench::expect_ok(
+    const auto exact = bench::expect_ok(
         core::solve_convex(market2.graph, market2.prices, loop2, {},
-                           closed_ctx),
-        "closed-form solve");
+                           exact_ctx),
+        "active-set solve");
     const auto barrier = bench::expect_ok(
         core::solve_flow(instance, {}, barrier_ctx), "barrier 2-pool solve");
-    if (!closed_ctx.used_closed_form) {
-      std::fprintf(stderr, "FAIL: closed-form kernel did not fire\n");
+    if (!exact_ctx.used_active_set) {
+      std::fprintf(stderr, "FAIL: the active set did not answer\n");
       failed = true;
     }
     const double disagreement =
-        relative_difference(closed.outcome.monetized_usd, barrier.objective);
-    json.set("closed_form.profit_usd", closed.outcome.monetized_usd);
-    json.set("closed_form.vs_barrier_relative", disagreement);
-    sink.labeled_row("closed_form_vs_barrier_rel", {disagreement});
+        relative_difference(exact.outcome.monetized_usd, barrier.objective);
+    json.set("active_set.profit_usd", exact.outcome.monetized_usd);
+    json.set("active_set.vs_barrier_relative", disagreement);
+    sink.labeled_row("active_set_vs_barrier_rel", {disagreement});
     if (disagreement > 1e-9) {
       std::fprintf(stderr,
-                   "FAIL: closed form disagrees with barrier by %.3g\n",
+                   "FAIL: active set disagrees with barrier by %.3g\n",
                    disagreement);
       failed = true;
     }
 
-    const bench::Timing closed_timing = bench::measure([&] {
+    const bench::Timing exact_timing = bench::measure([&] {
       (void)bench::expect_ok(
           core::solve_convex(market2.graph, market2.prices, loop2, {},
-                             closed_ctx),
-          "closed-form solve");
+                             exact_ctx),
+          "active-set solve");
     });
     const bench::Timing barrier_timing = bench::measure([&] {
       (void)bench::expect_ok(core::solve_flow(instance, {}, barrier_ctx),
                              "barrier 2-pool solve");
     });
-    json.set("closed_form.solve", closed_timing);
-    json.set("closed_form.barrier_solve", barrier_timing);
-    json.set("closed_form.speedup_x",
-             barrier_timing.median_ns / closed_timing.median_ns);
-    sink.labeled_row("closed_form_median_ns", {closed_timing.median_ns});
-    sink.labeled_row("closed_form_speedup_x",
-                     {barrier_timing.median_ns / closed_timing.median_ns});
-    std::printf("closed form %.0fns vs barrier %.0fns (%.1fx)\n",
-                closed_timing.median_ns, barrier_timing.median_ns,
-                barrier_timing.median_ns / closed_timing.median_ns);
+    json.set("active_set.solve", exact_timing);
+    json.set("active_set.barrier_solve", barrier_timing);
+    json.set("active_set.speedup_x",
+             barrier_timing.median_ns / exact_timing.median_ns);
+    sink.labeled_row("active_set_median_ns", {exact_timing.median_ns});
+    sink.labeled_row("active_set_speedup_x",
+                     {barrier_timing.median_ns / exact_timing.median_ns});
+    std::printf("active set %.0fns vs barrier %.0fns (%.1fx)\n",
+                exact_timing.median_ns, barrier_timing.median_ns,
+                barrier_timing.median_ns / exact_timing.median_ns);
   }
 
   if (!json.write("BENCH_solver.json")) return 1;

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "common/logging.hpp"
-#include "core/closed_form.hpp"
+#include "core/active_set.hpp"
 #include "core/generic_convex.hpp"
 
 namespace arb::core {
@@ -64,7 +64,8 @@ Result<ConvexSolution> solve_convex(const graph::TokenGraph& graph,
                                     const ConvexOptions& options,
                                     ConvexContext& ctx) {
   ctx.warm_hit = false;
-  ctx.used_closed_form = false;
+  ctx.used_active_set = false;
+  ctx.certified = false;
   ctx.used_generic = false;
   ctx.used_fallback = false;
   // Iteration counters stay meaningful even on the analytic early-return
@@ -90,25 +91,22 @@ Result<ConvexSolution> solve_convex(const graph::TokenGraph& graph,
                          std::vector<double>(n, 0.0),
                          std::vector<double>(n, 0.0));
   }
-  const bool mixed = !cycle.all_cpmm(graph);
 
-  // Analytic kernel: 2-pool all-CPMM loops have a closed-form optimum —
-  // no normalization, no iterations, zero gap. (Mixed length-2 loops
-  // stay on the barrier: the active-set kernel's formulas are CPMM-exact
-  // only.)
-  if (!mixed && n == 2) {
-    auto hops = make_hop_data(graph, prices, cycle);
-    if (!hops) return hops.error();
-    if (const auto closed = solve_length2_closed_form(*hops)) {
-      ctx.used_closed_form = true;
-      if (ctx.warm) ctx.warm->valid = false;  // nothing to warm-start
-      return make_solution(
-          cycle, {closed->inputs[0], closed->inputs[1]},
-          {closed->outputs[0], closed->outputs[1]},
-          {(*hops)[0].price_in, (*hops)[1].price_in});
-    }
+  // Exact rung: every loop the active set can answer (n ≤ 8, or any n
+  // the certificate accepts) takes it; no iterations, no gap, and the
+  // warm slot stays as it is for a later barrier solve of the loop.
+  auto hops = make_hop_data(graph, prices, cycle);
+  if (!hops) return hops.error();
+  if (auto exact = solve_active_set(*hops, &graph)) {
+    ctx.used_active_set = true;
+    ctx.certified = exact->certified;
+    std::vector<double> token_prices(n);
+    for (std::size_t j = 0; j < n; ++j) token_prices[j] = (*hops)[j].price_in;
+    return make_solution(cycle, std::move(exact->inputs),
+                         std::move(exact->outputs), token_prices);
   }
 
+  const bool mixed = !cycle.all_cpmm(graph);
   auto instance = FlowInstance::from_cycle(graph, prices, cycle);
   if (!instance) return instance.error();
   auto flow = solve_flow(*instance, options, ctx);

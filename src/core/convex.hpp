@@ -3,9 +3,9 @@
 /// \file convex.hpp
 /// The paper's Convex Optimization strategy (Section IV, eq. 8): relax
 /// flow conservation to inequalities so profit may be retained in any
-/// token of the loop, and solve the resulting convex program — the
-/// one-cycle instance of core/flow_nlp.hpp — with the barrier
-/// interior-point solver.
+/// token of the loop, and solve the resulting convex program — exactly
+/// by the active-set solver (core/active_set.hpp), or as the one-cycle
+/// instance of core/flow_nlp.hpp with the barrier interior-point solver.
 
 #include <vector>
 
@@ -22,11 +22,15 @@ namespace arb::core {
 using ConvexOptions = FlowOptions;
 
 /// Per-thread reusable solver state for solve_convex: the flow solver's
-/// workspace, report and warm-start slot, plus which rung of the ladder
-/// produced the answer (valid after solve_convex returns).
+/// workspace, report and warm-start slot (used on the barrier rung only),
+/// plus which rung of the ladder produced the answer (valid after
+/// solve_convex returns).
 struct ConvexContext : FlowContext {
-  bool used_closed_form = false;  ///< length-2 kernel bypassed the solver
-  bool used_generic = false;      ///< the generic solver produced the answer
+  bool used_active_set = false;  ///< the active-set solver answered exactly
+  /// With used_active_set: the MaxMax trade passed the KKT certificate,
+  /// so it is the Convex optimum and nothing was enumerated.
+  bool certified = false;
+  bool used_generic = false;     ///< the generic solver produced the answer
   /// The barrier failed even from a cold start and the derivative-free
   /// generic solver rescued the solve — the last rung of the containment
   /// ladder (warm → cold barrier → generic → typed error). Feeds the
@@ -41,7 +45,8 @@ struct ConvexSolution {
   std::vector<double> inputs;
   /// Output per hop at d_i (non-CPMM hops re-quoted from their pools).
   std::vector<double> outputs;
-  /// Certified duality gap from the barrier solver (USD).
+  /// Certified duality gap from the barrier solver (USD); 0 when the
+  /// active set answered (its answer is exact).
   double duality_gap_usd = 0.0;
 };
 
@@ -49,16 +54,18 @@ struct ConvexSolution {
 /// is tokens()[0]; the optimum is rotation-invariant (tested).
 ///
 /// Ladder: a loop whose price product does not clear 1 is profitless
-/// without a solve (Section IV theorem; the warm slot is kept). A
-/// length-2 all-CPMM loop takes the analytic kernel
-/// (core/closed_form.hpp). Every other loop, CPMM or mixed, is
-/// FlowInstance::from_cycle solved by solve_flow (warm → cold → phase-I
-/// → zero when no strict interior exists). The derivative-free generic
-/// solver (core/generic_convex.hpp) answers mixed loops the barrier
-/// cannot model (a concentrated hop pinned at a range edge, degenerate
-/// kernel state) and rescues any barrier failure. ctx reports which
-/// rung ran; the warm slot is invalidated whenever the closed form or
-/// the generic solver answers (their optima do not map back to the
+/// without a solve (Section IV theorem; the warm slot is kept). The
+/// active-set solver (core/active_set.hpp) then answers every loop of up
+/// to kActiveSetMaxEnumerated hops, of any venue mix, and any longer loop
+/// whose MaxMax trade passes its KKT certificate — exactly, with zero
+/// iterations and gap. Only the rest (uncertified loops longer than
+/// that) is FlowInstance::from_cycle solved by solve_flow (warm → cold →
+/// phase-I → zero when no strict interior exists). The derivative-free
+/// generic solver (core/generic_convex.hpp) answers mixed loops the
+/// barrier cannot model (a concentrated hop pinned at a range edge,
+/// degenerate kernel state) and rescues any barrier failure. ctx reports
+/// which rung ran; the active set leaves the warm slot as it is, and the
+/// generic solver invalidates it (its optimum does not map back to the
 /// barrier's central path).
 [[nodiscard]] Result<ConvexSolution> solve_convex(
     const graph::TokenGraph& graph, const market::CexPriceFeed& prices,

@@ -1,13 +1,15 @@
 #pragma once
 
 /// \file generic_convex.hpp
-/// The library's one barrier-free solver for eq. (8), over black-box hops
+/// The library's derivative-free solver for eq. (8), over black-box hops
 /// (StableSwap, concentrated liquidity, CPMM — anything monotone, concave
 /// and 0-at-0): a re-parameterized compensated coordinate ascent (head
 /// input + forward fractions + constraint-following pair moves, restarted
 /// from every rotation anchor). solve_convex runs it on mixed loops the
 /// barrier cannot model and as its rescue rung; the differential suites
-/// use it as the barrier's derivative-free oracle (no shared solver code).
+/// use it as the derivative-free oracle of the active set and the
+/// barrier (no shared solver code, and the pools' own quotes instead of
+/// the analytic kernels).
 
 #include <vector>
 

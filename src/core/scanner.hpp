@@ -30,8 +30,11 @@ struct ScannerConfig {
   std::optional<GasModel> gas;
   /// Convex strategy only: let the streaming runtime warm-start each
   /// cycle's barrier solve from its previous optimum (see ConvexContext).
-  /// Off by default so batch scans and differential tests stay on the
-  /// single cold-start arithmetic path.
+  /// The barrier rung runs only for uncertified loops longer than
+  /// kActiveSetMaxEnumerated (8, core/active_set.hpp) hops — the active
+  /// set answers every other loop exactly — so this affects only those. Off by default so
+  /// batch scans and differential tests stay on the single cold-start
+  /// arithmetic path.
   bool convex_warm_start = false;
 };
 
@@ -61,8 +64,9 @@ struct Opportunity {
 
 /// Context variant: the convex strategy reuses ctx's workspace across
 /// calls (and, when ctx.warm is set and config.convex_warm_start is on,
-/// warm-starts the barrier solve). Numerically identical to the plain
-/// overload when warm-starting is off or misses.
+/// warm-starts a barrier-rung solve) and reports the rung in ctx.
+/// Numerically identical to the plain overload when warm-starting is off
+/// or misses, and always on loops the active set answers.
 [[nodiscard]] Result<std::optional<Opportunity>> evaluate_opportunity(
     const graph::TokenGraph& graph, const market::CexPriceFeed& prices,
     const graph::Cycle& loop, const ScannerConfig& config,

@@ -211,7 +211,7 @@ void IncrementalScanner::price_range(std::size_t s, std::size_t begin,
   }
 
   // Pass B — the per-cycle solver ladder over the gate's survivors,
-  // unchanged: warm start / closed form / barrier / generic fallback.
+  // unchanged: active set / warm-started barrier / generic fallback.
   for (const std::uint32_t position : survivors) {
     const std::uint32_t local = shard.dirty[position];
     const graph::Cycle& cycle = index_.cycles()[universe[local]];
@@ -242,10 +242,13 @@ void IncrementalScanner::price_range(std::size_t s, std::size_t begin,
       stats.solver_iterations += static_cast<std::uint64_t>(
           std::max(0, ctx.report.total_newton_iterations));
       if (ctx.used_fallback) ++stats.solver_fallbacks;
-      // Closed-form and generic-routed solves are neither warm hit nor
-      // miss; mixed loops that took the barrier fast path count like
-      // CPMM ones.
-      if (config_.convex_warm_start && !ctx.used_closed_form &&
+      if (ctx.used_active_set) {
+        ++stats.repriced_active_set;
+        if (ctx.certified) ++stats.repriced_certified;
+      }
+      // Only barrier-rung solves are warm hits or misses; mixed loops
+      // count like CPMM ones.
+      if (config_.convex_warm_start && !ctx.used_active_set &&
           !ctx.used_generic) {
         ++(ctx.warm_hit ? stats.warm_hits : stats.warm_misses);
       }
@@ -339,6 +342,8 @@ Result<ApplyReport> IncrementalScanner::wait_reprice() {
       report.warm_misses += stats.warm_misses;
       report.warm_invalidations += stats.warm_invalidations;
       report.solver_iterations += stats.solver_iterations;
+      report.repriced_active_set += stats.repriced_active_set;
+      report.repriced_certified += stats.repriced_certified;
       report.repriced_cpmm += stats.repriced_cpmm;
       report.repriced_mixed += stats.repriced_mixed;
       report.repriced_mixed_fast += stats.repriced_mixed_fast;

@@ -39,7 +39,7 @@
 /// view's cached relative prices — computing each loop's price product
 /// from flattened (pool, side) gate arrays, bit-identical to
 /// MarketView::price_product — and only survivors (product > 1) fall
-/// into pass B's per-cycle solver ladder (warm start / closed form /
+/// into pass B's per-cycle solver ladder (active set / warm-started
 /// barrier / generic), which is untouched.
 ///
 /// Sharding (DESIGN.md §11): a `ShardPlan` partitions the cycle universe
@@ -75,11 +75,11 @@ struct ApplyReport {
   /// Dirty cycles visited: repriced_cpmm + repriced_mixed + gated
   /// (cycles skipped for a quarantined pool count in none).
   std::size_t repriced = 0;
-  /// Convex strategy with convex_warm_start only: barrier solves that
-  /// resumed from the cycle's previous optimum vs. ones that cold-started
-  /// (closed-form, generic-routed and price-product-gated cycles count
-  /// as neither — both CPMM and mixed loops warm-start on the barrier
-  /// fast path).
+  /// Convex strategy with convex_warm_start only: barrier-rung solves
+  /// (uncertified loops longer than core::kActiveSetMaxEnumerated) that
+  /// resumed from the cycle's previous optimum vs. ones that
+  /// cold-started. Active-set, generic-routed and price-product-gated
+  /// cycles count as neither.
   std::size_t warm_hits = 0;
   std::size_t warm_misses = 0;
   /// Warm slots that went valid → invalid this round: quarantine entries
@@ -88,8 +88,13 @@ struct ApplyReport {
   /// invalidate — that was the live warm-hit-rate leak.
   std::size_t warm_invalidations = 0;
   /// Convex strategy only: total Newton iterations across this round's
-  /// barrier solves (0 for analytic and generic solves).
+  /// barrier-rung solves (0 for active-set and generic solves).
   std::uint64_t solver_iterations = 0;
+  /// Convex strategy only: gate survivors the exact active-set rung
+  /// priced, and how many of those the KKT certificate settled on the
+  /// MaxMax trade (certified ≤ active_set).
+  std::size_t repriced_active_set = 0;
+  std::size_t repriced_certified = 0;
   /// Dirty cycles the price-product gate rejected (profitless
   /// orientation): never solved, and not timed per kind.
   std::size_t gated = 0;
@@ -101,10 +106,10 @@ struct ApplyReport {
   double reprice_cpmm_us = 0.0;
   double reprice_mixed_us = 0.0;
   /// Convex strategy only: split of the mixed solves by route — the
-  /// analytic-kernel barrier fast path vs. the derivative-free generic
-  /// solver (fast-path disabled, tick-crossing caps, degenerate hop
-  /// state, or rescue). Failed solves count in neither, so
-  /// fast + generic ≤ repriced_mixed.
+  /// analytic kernels (the active set, or the barrier on uncertified
+  /// long loops) vs. the derivative-free generic solver (state the
+  /// barrier cannot model, or rescue). Failed solves count in neither,
+  /// so fast + generic ≤ repriced_mixed.
   std::size_t repriced_mixed_fast = 0;
   std::size_t repriced_mixed_generic = 0;
   /// Convex strategy only: barrier solves rescued by the generic
@@ -206,6 +211,8 @@ class IncrementalScanner {
     std::size_t warm_misses = 0;
     std::size_t warm_invalidations = 0;
     std::uint64_t solver_iterations = 0;
+    std::size_t repriced_active_set = 0;
+    std::size_t repriced_certified = 0;
     std::size_t repriced_cpmm = 0;
     std::size_t repriced_mixed = 0;
     std::size_t repriced_mixed_fast = 0;

@@ -27,12 +27,14 @@ namespace arb::runtime {
   X(loops_repriced, "dirty cycles visited: cpmm + mixed + gated")             \
   X(loops_repriced_cpmm, "all-CPMM cycles that reached the solver ladder")    \
   X(loops_repriced_mixed, "non-CPMM-crossing cycles that reached the ladder") \
-  X(loops_repriced_mixed_fast, "mixed solves on the analytic barrier path")   \
+  X(loops_repriced_mixed_fast, "mixed solves by the active set or barrier")   \
   X(loops_repriced_mixed_generic, "mixed solves on the generic solver")       \
+  X(loops_convex_active_set, "Convex loops the exact active set priced")      \
+  X(loops_convex_certified, "active-set loops where MaxMax is certified")     \
   X(loops_gated, "dirty cycles the price-product gate rejected")              \
-  X(solver_iterations, "Newton iterations across barrier solves")             \
-  X(warm_hits, "barrier solves resumed from the cycle's last optimum")        \
-  X(warm_misses, "barrier solves that started cold")                          \
+  X(solver_iterations, "Newton iterations across barrier-rung solves")        \
+  X(warm_hits, "barrier-rung solves resumed from the cycle's last optimum")   \
+  X(warm_misses, "barrier-rung solves that started cold")                     \
   X(warm_invalidations, "warm slots that went valid -> invalid")              \
   X(solver_fallbacks, "barrier solves rescued by the generic solver")         \
   X(rejected_unknown_pool, "events rejected: pool id beyond the market")      \

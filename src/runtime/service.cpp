@@ -177,6 +177,9 @@ void ScannerService::run() {
                  report->repriced_mixed_fast);
     metrics_.add(Counter::loops_repriced_mixed_generic,
                  report->repriced_mixed_generic);
+    metrics_.add(Counter::loops_convex_active_set,
+                 report->repriced_active_set);
+    metrics_.add(Counter::loops_convex_certified, report->repriced_certified);
     metrics_.add(Counter::loops_gated, report->gated);
     metrics_.add(Counter::solver_iterations, report->solver_iterations);
     metrics_.add(Counter::solver_fallbacks, report->solver_fallbacks);

@@ -1,4 +1,8 @@
-#include "core/closed_form.hpp"
+// The active-set solver's length-2 pins: hand-derived optima, the
+// retaining-set choice, and agreement with the barrier (solve_flow on the
+// one-cycle instance) across random 2-pool markets.
+
+#include "core/active_set.hpp"
 
 #include <gtest/gtest.h>
 
@@ -37,37 +41,55 @@ struct TwoPoolMarket {
   }
 };
 
-TEST(ClosedFormTest, SingleHopOptimumMatchesFirstOrderCondition) {
-  LoopHopData hop;
-  hop.reserve_in = 100.0;
-  hop.reserve_out = 220.0;
-  hop.gamma = 0.997;
-  hop.price_in = 1.0;
-  hop.price_out = 0.5;
-  const double d = optimal_single_hop_input(hop);
-  ASSERT_GT(d, 0.0);
-  // Interior optimum: marginal revenue equals marginal cost.
-  EXPECT_NEAR(hop.price_out * hop.swap_deriv(d), hop.price_in, 1e-9);
+TEST(ActiveSetTest, RetainingBothTokensSetsEachHopAtItsFirstOrderCondition) {
+  // Each hop alone is profitable at unit prices (γ·150/100 > 1), so both
+  // tokens retain and each one-hop segment sits at P_out·F'(d) = P_in.
+  graph::TokenGraph graph;
+  market::CexPriceFeed prices;
+  const TokenId a = graph.add_token("A");
+  const TokenId b = graph.add_token("B");
+  const PoolId p0 = graph.add_pool(a, b, 100.0, 150.0, 0.003);
+  const PoolId p1 = graph.add_pool(b, a, 100.0, 160.0, 0.003);
+  prices.set_price(a, 1.0);
+  prices.set_price(b, 1.0);
+  const auto loop = *graph::Cycle::create(graph, {a, b}, {p0, p1});
+  const auto hops = make_hop_data(graph, prices, loop).value();
+
+  const auto solution = solve_active_set(hops);
+  ASSERT_TRUE(solution.has_value());
+  EXPECT_EQ(solution->retaining, 3u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_GT(solution->inputs[i], 0.0);
+    EXPECT_NEAR(hops[i].price_out * hops[i].swap_deriv(solution->inputs[i]),
+                hops[i].price_in, 1e-9);
+  }
 }
 
-TEST(ClosedFormTest, LosingHopTradesNothing) {
-  LoopHopData hop;
-  hop.reserve_in = 100.0;
-  hop.reserve_out = 100.0;
-  hop.gamma = 0.997;
-  hop.price_in = 1.0;
-  hop.price_out = 1.0;  // marginal rate at zero is gamma < 1: a loss
-  EXPECT_DOUBLE_EQ(optimal_single_hop_input(hop), 0.0);
+TEST(ActiveSetTest, LosingHopTradesNothingOnItsOwn) {
+  // Hop 1 (B -> A) loses at the margin on its own (γ·100/200 · 1/0.5 < 1),
+  // so retaining in both tokens would leave it idle and starve A: that
+  // candidate is infeasible, and the optimum is the single-start trade
+  // from one token.
+  const TwoPoolMarket m;
+  const auto hops = make_hop_data(m.graph, m.prices, m.loop()).value();
+  ASSERT_LT(hops[1].price_out * hops[1].swap_deriv(0.0), hops[1].price_in);
+
+  const auto solution = solve_active_set(hops);
+  ASSERT_TRUE(solution.has_value());
+  EXPECT_TRUE(solution->retaining == 1u || solution->retaining == 2u)
+      << solution->retaining;
+  EXPECT_GT(solution->inputs[1], 0.0);
+  EXPECT_GT(solution->profit_usd, 0.0);
 }
 
-TEST(ClosedFormTest, GoldenSymmetricLoop) {
+TEST(ActiveSetTest, GoldenSymmetricLoop) {
   // Hand-derived optimum: both hops trade against (100, 150) reserves at
   // unit CEX prices, fee 0.3%. Each hop alone is profitable
   // (gamma·150/100 > 1) and the symmetric per-hop optima
   //   d* = (sqrt(gamma·100·150) − 100) / gamma ≈ 22.36
-  // satisfy both flow constraints (F(d*) ≈ 27.3 > d*), so the interior
-  // candidate with both flow constraints slack is the global optimum and
-  // the profit is 2·(F(d*) − d*).
+  // satisfy both flow constraints (F(d*) ≈ 27.3 > d*), so the candidate
+  // with both flow constraints slack is the global optimum and the
+  // profit is 2·(F(d*) − d*).
   graph::TokenGraph graph;
   market::CexPriceFeed prices;
   const TokenId a = graph.add_token("A");
@@ -80,8 +102,10 @@ TEST(ClosedFormTest, GoldenSymmetricLoop) {
 
   auto hops = make_hop_data(graph, prices, loop);
   ASSERT_TRUE(hops.ok());
-  const auto solution = solve_length2_closed_form(*hops);
+  const auto solution = solve_active_set(*hops, &graph);
   ASSERT_TRUE(solution.has_value());
+  EXPECT_EQ(solution->retaining, 3u);
+  EXPECT_FALSE(solution->certified);
 
   const double g = 0.997;
   const double d = (std::sqrt(g * 100.0 * 150.0) - 100.0) / g;
@@ -95,7 +119,7 @@ TEST(ClosedFormTest, GoldenSymmetricLoop) {
               1e-12 * 2.0 * (out - d));
 }
 
-TEST(ClosedFormTest, AgreesWithBarrierAcrossRandomMarkets) {
+TEST(ActiveSetTest, AgreesWithBarrierAcrossRandomMarkets) {
   std::mt19937_64 rng(20240807);
   std::uniform_real_distribution<double> reserve(50.0, 5000.0);
   std::uniform_real_distribution<double> fee(0.0, 0.01);
@@ -108,7 +132,7 @@ TEST(ClosedFormTest, AgreesWithBarrierAcrossRandomMarkets) {
     auto fast = solve_convex(m.graph, m.prices, m.loop(), {}, ctx);
     ASSERT_TRUE(fast.ok()) << "trial " << trial;
 
-    // The barrier route: the same loop as a one-cycle flow instance.
+    // The barrier: the same loop as a one-cycle flow instance.
     auto instance = FlowInstance::from_cycle(m.graph, m.prices, m.loop());
     ASSERT_TRUE(instance.ok()) << "trial " << trial;
     auto slow = solve_flow(*instance);
@@ -119,25 +143,30 @@ TEST(ClosedFormTest, AgreesWithBarrierAcrossRandomMarkets) {
         << "trial " << trial;
     if (slow->objective > 1e-6) {
       ++profitable;
-      EXPECT_TRUE(ctx.used_closed_form) << "trial " << trial;
+      EXPECT_TRUE(ctx.used_active_set) << "trial " << trial;
+      EXPECT_EQ(fast->duality_gap_usd, 0.0);
+      EXPECT_EQ(fast->outcome.solver_iterations, 0);
     }
   }
   // The random family must actually exercise the profitable branch.
   EXPECT_GT(profitable, 20);
 }
 
-TEST(ClosedFormTest, RejectsDegenerateAndWrongLengthInputs) {
+TEST(ActiveSetTest, RejectsDegenerateAndTooShortInputs) {
   const TwoPoolMarket m;
   auto hops = make_hop_data(m.graph, m.prices, m.loop());
   ASSERT_TRUE(hops.ok());
 
-  auto three = *hops;
-  three.push_back((*hops)[0]);
-  EXPECT_FALSE(solve_length2_closed_form(three).has_value());
+  const std::vector<LoopHopData> one = {(*hops)[0]};
+  EXPECT_FALSE(solve_active_set(one).has_value());
 
   auto degenerate = *hops;
   degenerate[0].reserve_in = 0.0;
-  EXPECT_FALSE(solve_length2_closed_form(degenerate).has_value());
+  EXPECT_FALSE(solve_active_set(degenerate).has_value());
+  degenerate = *hops;
+  degenerate[1].gamma = std::nan("");
+  EXPECT_FALSE(solve_active_set(degenerate).has_value());
+  EXPECT_FALSE(enumerate_active_set(degenerate).has_value());
 }
 
 }  // namespace

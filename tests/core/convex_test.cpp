@@ -120,30 +120,51 @@ TEST(FlowLoopTest, NoInteriorWithoutArbitrage) {
   EXPECT_EQ(found.error().code, ErrorCode::kInfeasible);
 }
 
+/// The barrier reference: the Section V loop as the one-cycle flow
+/// instance, solved by solve_flow (solve_convex answers it by active set).
+FlowSolution section5_barrier(const Section5Market& m) {
+  return solve_flow(FlowInstance::from_cycle(m.graph, m.prices, m.loop())
+                        .value())
+      .value();
+}
+
 TEST(ConvexTest, PaperExampleValue) {
   const Section5Market m;
-  auto solution = solve_convex(m.graph, m.prices, m.loop());
+  ConvexContext ctx;
+  auto solution = solve_convex(m.graph, m.prices, m.loop(), {}, ctx);
   ASSERT_TRUE(solution.ok());
+  EXPECT_TRUE(ctx.used_active_set);
+  const FlowSolution barrier = section5_barrier(m);
   // Paper: $206.1.
   EXPECT_NEAR(solution->outcome.monetized_usd, 206.1, 0.3);
+  EXPECT_NEAR(barrier.objective, 206.1, 0.3);
+  EXPECT_NEAR(solution->outcome.monetized_usd, barrier.objective,
+              1e-6 * barrier.objective);
 }
 
 TEST(ConvexTest, PaperExamplePlanAmounts) {
   const Section5Market m;
   auto solution = solve_convex(m.graph, m.prices, m.loop());
   ASSERT_TRUE(solution.ok());
+  const FlowSolution barrier = section5_barrier(m);
   // Paper: input 31.3 X -> 47.6 Y; 42.6 Y -> 24.8 Z; 17.1 Z -> 31.3 X.
-  EXPECT_NEAR(solution->inputs[0], 31.3, 0.2);
-  EXPECT_NEAR(solution->outputs[0], 47.6, 0.2);
-  EXPECT_NEAR(solution->inputs[1], 42.6, 0.2);
-  EXPECT_NEAR(solution->outputs[1], 24.8, 0.2);
-  EXPECT_NEAR(solution->inputs[2], 17.1, 0.2);
-  EXPECT_NEAR(solution->outputs[2], 31.3, 0.2);
+  const double inputs[] = {31.3, 42.6, 17.1};
+  const double outputs[] = {47.6, 24.8, 31.3};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_NEAR(solution->inputs[i], inputs[i], 0.2) << "hop " << i;
+    EXPECT_NEAR(solution->outputs[i], outputs[i], 0.2) << "hop " << i;
+    EXPECT_NEAR(barrier.edge_inputs[i], inputs[i], 0.2) << "hop " << i;
+    EXPECT_NEAR(barrier.edge_outputs[i], outputs[i], 0.2) << "hop " << i;
+  }
   // Retained: ~0 X, ~5 Y, ~7.7 Z.
+  const double retained[] = {0.0, 5.0, 7.7};
+  const double tolerance[] = {0.05, 0.2, 0.2};
   ASSERT_EQ(solution->outcome.profits.size(), 3u);
-  EXPECT_NEAR(solution->outcome.profits[0].amount, 0.0, 0.05);
-  EXPECT_NEAR(solution->outcome.profits[1].amount, 5.0, 0.2);
-  EXPECT_NEAR(solution->outcome.profits[2].amount, 7.7, 0.2);
+  for (std::size_t j = 0; j < 3; ++j) {
+    EXPECT_NEAR(solution->outcome.profits[j].amount, retained[j],
+                tolerance[j]);
+    EXPECT_NEAR(barrier.node_surplus[j], retained[j], tolerance[j]);
+  }
 }
 
 TEST(ConvexTest, BeatsOrMatchesMaxMax) {
@@ -152,10 +173,13 @@ TEST(ConvexTest, BeatsOrMatchesMaxMax) {
   auto max_max = evaluate_max_max(m.graph, m.prices, m.loop());
   ASSERT_TRUE(convex.ok());
   ASSERT_TRUE(max_max.ok());
-  EXPECT_GE(convex->outcome.monetized_usd,
-            max_max->monetized_usd - 1e-6);
-  // On this adversarial example the gap is real (paper: 206.1 vs 205.6).
-  EXPECT_GT(convex->outcome.monetized_usd, max_max->monetized_usd);
+  const FlowSolution barrier = section5_barrier(m);
+  for (const double profit : {convex->outcome.monetized_usd,
+                              barrier.objective}) {
+    EXPECT_GE(profit, max_max->monetized_usd - 1e-6);
+    // On this adversarial example the gap is real (paper: 206.1 vs 205.6).
+    EXPECT_GT(profit, max_max->monetized_usd);
+  }
 }
 
 TEST(ConvexTest, RotationInvariant) {

@@ -98,12 +98,12 @@ TEST(HeterogeneousVenueTest, ConvexDispatchReportsPathTaken) {
   const StableEdgeMarket cpmm(true);
   core::ConvexContext ctx;
 
-  // Mixed loops ride the analytic-kernel barrier fast path by default.
+  // Mixed loops of up to eight hops take the exact active-set rung.
   auto fast = core::solve_convex(mixed.graph, mixed.prices, mixed.loop(),
                                  {}, ctx);
   ASSERT_TRUE(fast.ok());
   EXPECT_FALSE(ctx.used_generic);
-  EXPECT_FALSE(ctx.used_closed_form);
+  EXPECT_TRUE(ctx.used_active_set);
   EXPECT_FALSE(ctx.warm_hit);
   EXPECT_GT(fast->outcome.monetized_usd, 0.0);
 
@@ -117,7 +117,7 @@ TEST(HeterogeneousVenueTest, ConvexDispatchReportsPathTaken) {
   EXPECT_NEAR(fast->outcome.monetized_usd, generic->profit_usd,
               1e-6 * std::max(1.0, generic->profit_usd));
 
-  // All-CPMM loops stay on the barrier/closed-form path.
+  // All-CPMM loops take the same rung.
   graph::TokenGraph g2;
   const TokenId a = g2.add_token("A");
   const TokenId b = g2.add_token("B");
@@ -129,9 +129,10 @@ TEST(HeterogeneousVenueTest, ConvexDispatchReportsPathTaken) {
   const auto loops =
       graph::filter_arbitrage(g2, graph::enumerate_fixed_length_cycles(g2, 2));
   ASSERT_EQ(loops.size(), 1u);
-  auto barrier = core::solve_convex(g2, f2, loops[0], {}, ctx);
-  ASSERT_TRUE(barrier.ok());
+  auto exact = core::solve_convex(g2, f2, loops[0], {}, ctx);
+  ASSERT_TRUE(exact.ok());
   EXPECT_FALSE(ctx.used_generic);
+  EXPECT_TRUE(ctx.used_active_set);
   (void)p1;
   (void)p2;
   (void)cpmm;

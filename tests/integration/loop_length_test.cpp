@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/comparison.hpp"
+#include "core/flow_nlp.hpp"
 #include "core/generic_convex.hpp"
 #include "core/plan.hpp"
 #include "sim/engine.hpp"
@@ -80,9 +81,15 @@ TEST_P(LoopLengthTest, GenericSolverAgrees) {
   optim::SolveWorkspace ws;
   const auto generic =
       core::solve_generic_convex(m.graph, m.prices, m.loop(), ws).value();
-  const double barrier =
+  const double convex =
       core::solve_convex(m.graph, m.prices, m.loop()).value().outcome
           .monetized_usd;
+  const double barrier =
+      core::solve_flow(
+          core::FlowInstance::from_cycle(m.graph, m.prices, m.loop()).value())
+          .value()
+          .objective;
+  EXPECT_NEAR(generic.profit_usd, convex, 5e-3 * std::max(1.0, convex));
   EXPECT_NEAR(generic.profit_usd, barrier, 5e-3 * std::max(1.0, barrier));
 }
 

@@ -1,21 +1,22 @@
-// Mixed-solver route differential: the analytic-kernel barrier fast
-// path for mixed loops (warm-started and cold) and the derivative-free
-// generic solver are three routes to the same optimum, and this suite
-// pins their agreement while a mixed market streams.
+// Mixed-solver route differential: the exact active set (solve_convex),
+// the barrier on the one-cycle flow program (warm-started and cold) and
+// the derivative-free generic solver are four routes to the same
+// optimum, and this suite pins their agreement while a mixed market
+// streams.
 //
 // Two layers:
 //  1. Solver level — 1000+ reserve/liquidity events replayed into a
 //     mutable mixed market; after every event, each affected mixed loop
-//     in the profitable orientation is solved warm, cold, and (on a
-//     deterministic 1-in-32 subsample — the generic route is ~100x
-//     slower, which is the point of the fast path) by the generic
-//     solver directly. Monetized profits must agree to ≤1e-6 relative
-//     (1e-6 USD absolute floor).
+//     in the profitable orientation is solved by the active set, by the
+//     barrier warm and cold (solve_flow on FlowInstance::from_cycle, one
+//     warm slot per cycle), and (on a deterministic 1-in-32 subsample —
+//     the generic route is ~100x slower) by the generic solver directly.
+//     Monetized profits must agree to ≤1e-6 relative (1e-6 USD absolute
+//     floor).
 //  2. Engine level — the same 1000+-event stream through the scanner
 //     service at shards K ∈ {1, 4} with warm starts on, and through a
 //     serial reference (one IncrementalScanner::apply per event): ranked
-//     sets must be bit-identical across all three (the sharded, pipelined
-//     engine may not perturb the mixed fast path's warm trajectories).
+//     sets must be bit-identical across all three.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "core/convex.hpp"
+#include "core/flow_nlp.hpp"
 #include "core/generic_convex.hpp"
 #include "core/scanner.hpp"
 #include "graph/cycle.hpp"
@@ -66,14 +68,14 @@ TEST(MixedSolverDifferentialTest, WarmColdGenericAgreeOverStreamingEvents) {
   }
   ASSERT_FALSE(mixed.empty()) << "market has no mixed 3-loops";
 
-  // Route contexts. The warm context carries one WarmStart slot per
-  // mixed cycle (exactly the scanner's per-cycle ownership); cold and
+  // Route contexts. The warm barrier context carries one WarmStart slot
+  // per mixed cycle (exactly the scanner's per-cycle ownership); cold and
   // generic reuse their workspaces but never a warm slot.
-  core::ConvexContext warm_ctx;
-  core::ConvexContext cold_ctx;
+  core::ConvexContext exact_ctx;
+  core::FlowContext warm_ctx;
+  core::FlowContext cold_ctx;
   optim::SolveWorkspace generic_ws;
   std::vector<optim::WarmStart> warm_slots(mixed.size());
-  const core::ConvexOptions fast_options;
 
   runtime::ReplayStreamConfig stream_config;
   stream_config.blocks = 52;  // 52 x 20 pools = 1040 events
@@ -106,24 +108,35 @@ TEST(MixedSolverDifferentialTest, WarmColdGenericAgreeOverStreamingEvents) {
       // compared solve actually runs its route.
       if (!(cycle.price_product(market.graph) > 1.0 + 1e-9)) continue;
 
+      auto exact = core::solve_convex(market.graph, market.prices, cycle, {},
+                                      exact_ctx);
+      ASSERT_TRUE(exact.ok()) << exact.error().message;
+      ASSERT_TRUE(exact_ctx.used_active_set);
+      const double convex = exact->outcome.monetized_usd;
+
+      const auto instance =
+          core::FlowInstance::from_cycle(market.graph, market.prices, cycle);
+      ASSERT_TRUE(instance.ok());
       warm_ctx.warm = &warm_slots[i];
-      auto warm = core::solve_convex(market.graph, market.prices, cycle,
-                                     fast_options, warm_ctx);
+      auto warm = core::solve_flow(*instance, {}, warm_ctx);
       warm_ctx.warm = nullptr;
-      auto cold = core::solve_convex(market.graph, market.prices, cycle,
-                                     fast_options, cold_ctx);
+      auto cold = core::solve_flow(*instance, {}, cold_ctx);
       ASSERT_TRUE(warm.ok()) << warm.error().message;
       ASSERT_TRUE(cold.ok()) << cold.error().message;
-      expect_agree(warm->outcome.monetized_usd, cold->outcome.monetized_usd,
-                   "warm vs cold", events, i);
+      expect_agree(warm->objective, cold->objective, "warm vs cold", events,
+                   i);
+      expect_agree(convex, cold->objective, "active set vs barrier", events,
+                   i);
       ++compared;
 
       if (compared % 32 == 0) {
         auto generic = core::solve_generic_convex(
             market.graph, market.prices, cycle, generic_ws);
         ASSERT_TRUE(generic.ok()) << generic.error().message;
-        expect_agree(cold->outcome.monetized_usd, generic->profit_usd,
-                     "cold vs generic", events, i);
+        expect_agree(convex, generic->profit_usd, "active set vs generic",
+                     events, i);
+        expect_agree(cold->objective, generic->profit_usd, "cold vs generic",
+                     events, i);
         ++generic_compared;
       }
     }
@@ -175,9 +188,9 @@ std::vector<core::Opportunity> run_service(
   const runtime::MetricsSnapshot metrics = service->metrics();
   // A clean stream: every event is applied, as in the serial reference.
   EXPECT_EQ(metrics.events_rejected_total(), 0u);
-  // The fast path carries the mixed load; the generic rungs (tick
-  // crossings, rescues) stay a remainder, and the split never exceeds
-  // the gate survivors.
+  // The analytic kernels (the active set) carry the mixed load; the
+  // generic rungs (state the barrier cannot model, rescues) stay a
+  // remainder, and the split never exceeds the gate survivors.
   using runtime::Counter;
   EXPECT_GT(metrics[Counter::loops_repriced_mixed_fast], 0u);
   EXPECT_LE(metrics[Counter::loops_repriced_mixed_fast] +

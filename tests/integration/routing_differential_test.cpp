@@ -1,8 +1,8 @@
-// One-cycle differential: solve_convex — the barrier on the one-cycle
-// flow program (FlowInstance::from_cycle + solve_flow) — against the
-// derivative-free generic solver over the pools' own quotes, an oracle
-// that shares neither the barrier nor the analytic hop kernels. The
-// suite sweeps generated markets — all-CPMM and mixed
+// One-cycle differential: solve_convex — the exact active set — against
+// the barrier on the one-cycle flow program (FlowInstance::from_cycle +
+// solve_flow) and the derivative-free generic solver over the pools' own
+// quotes, an oracle that shares neither the solvers nor the analytic hop
+// kernels. The suite sweeps generated markets — all-CPMM and mixed
 // stable/concentrated mixes across several seeds — and pins their
 // monetized profits to ≤1e-6 relative agreement over 500+ profitable
 // length-3 loops.
@@ -53,10 +53,12 @@ TEST(RoutingDifferentialTest, OneCycleConvexMatchesGenericSolver) {
   };
 
   core::ConvexContext convex_ctx;
+  core::FlowContext barrier_ctx;
   optim::SolveWorkspace generic_ws;
   const core::ConvexOptions convex_options;
 
   std::size_t compared = 0;
+  std::size_t barrier_compared = 0;
   std::size_t mixed_compared = 0;
   for (const MarketMix& mix : mixes) {
     market::GeneratorConfig gen;
@@ -74,8 +76,8 @@ TEST(RoutingDifferentialTest, OneCycleConvexMatchesGenericSolver) {
     const std::vector<graph::Cycle> cycles =
         graph::enumerate_fixed_length_cycles(market.graph, 3);
     for (const graph::Cycle& cycle : cycles) {
-      // Stay clear of the solver's no-arbitrage margin so both routes
-      // actually run their solves.
+      // Stay clear of the solver's no-arbitrage margin so every route
+      // actually runs its solve.
       if (!(cycle.price_product(market.graph) > 1.0 + 1e-9)) continue;
 
       auto convex = core::solve_convex(market.graph, market.prices, cycle,
@@ -88,10 +90,27 @@ TEST(RoutingDifferentialTest, OneCycleConvexMatchesGenericSolver) {
       expect_agree(convex->outcome.monetized_usd, generic->profit_usd,
                    "convex vs generic, loop " + cycle.rotation_key());
       ++compared;
+
+      // The barrier wherever it can model the state (not a concentrated
+      // hop pinned at its range edge).
+      const auto instance =
+          core::FlowInstance::from_cycle(market.graph, market.prices, cycle);
+      ASSERT_TRUE(instance.ok());
+      const auto barrier = core::solve_flow(*instance, {}, barrier_ctx);
+      if (barrier.ok()) {
+        expect_agree(convex->outcome.monetized_usd, barrier->objective,
+                     "convex vs barrier, loop " + cycle.rotation_key());
+        ++barrier_compared;
+      } else {
+        EXPECT_NE(barrier.error().code, ErrorCode::kNumericFailure)
+            << barrier.error().message;
+      }
       if (!cycle.all_cpmm(market.graph)) ++mixed_compared;
     }
   }
   EXPECT_GE(compared, 500u) << "markets too quiet for the differential";
+  EXPECT_GE(barrier_compared * 10, compared * 9)
+      << barrier_compared << " of " << compared << " barrier solves";
   EXPECT_GE(mixed_compared, 50u) << "mixed venues barely exercised";
 }
 

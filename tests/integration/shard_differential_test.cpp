@@ -288,19 +288,19 @@ TEST(ShardDifferentialTest, WarmStartsIdenticalAcrossShards) {
   gen.pool_count = 40;
   const market::MarketSnapshot snapshot = market::generate_snapshot(gen);
 
-  // Warm starts make each solve depend on the cycle's *own* history,
-  // which shards preserve exactly (exclusive slot ownership) and the
-  // pinned batching keeps identical across runs — so the sweep must still
-  // agree across K and with the serial reference. The fresh-scan oracle
-  // is skipped: a warm-started trajectory legitimately differs from a
-  // cold scan at the last-ulp level.
+  // Warm starts make a barrier solve depend on the cycle's *own*
+  // history, which shards preserve exactly (exclusive slot ownership) and
+  // the pinned batching keeps identical across runs — so the sweep must
+  // still agree across K and with the serial reference. Length-3 loops
+  // never reach the barrier (the active set prices them exactly, with no
+  // warm state), so the ranked set must also match a fresh cold scan.
   core::ScannerConfig scanner;
   scanner.loop_lengths = {3};
   scanner.strategy = core::StrategyKind::kConvexOptimization;
   scanner.convex_warm_start = true;
   for (const double rate : {0.0, 0.10}) {
     run_shard_sweep(snapshot, scanner, rate, /*blocks=*/25,
-                    /*check_scan=*/false);
+                    /*check_scan=*/true);
   }
 }
 

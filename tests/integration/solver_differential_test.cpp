@@ -1,14 +1,16 @@
-// Differential testing of the two convex-solver routes (the barrier on
-// the one-cycle flow program behind solve_convex, and the derivative-free
-// generic solver over the pools' own quotes, which shares no solver code
-// with it) plus the MaxMax lower bound, on randomized loops of random
-// length — the strongest correctness evidence the library has for the
-// Convex Optimization strategy.
+// Differential testing of the three convex-solver routes (the exact
+// active set behind solve_convex, the barrier on the one-cycle flow
+// program, and the derivative-free generic solver over the pools' own
+// quotes, which shares no solver code with either) plus the MaxMax lower
+// bound, on randomized loops of random length — the strongest
+// correctness evidence the library has for the Convex Optimization
+// strategy.
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "core/convex.hpp"
+#include "core/flow_nlp.hpp"
 #include "core/generic_convex.hpp"
 #include "core/single_start.hpp"
 #include "graph/cycle.hpp"
@@ -56,20 +58,29 @@ TEST_P(SolverDifferentialTest, AllRoutesAgreeOnRandomLoops) {
 
     const auto maxmax =
         core::evaluate_max_max(loop.graph, loop.prices, cycle).value();
-    const auto barrier =
+    const auto exact =
         core::solve_convex(loop.graph, loop.prices, cycle).value();
+    const auto barrier =
+        core::solve_flow(
+            core::FlowInstance::from_cycle(loop.graph, loop.prices, cycle)
+                .value())
+            .value();
     const auto generic =
         core::solve_generic_convex(loop.graph, loop.prices, cycle, ws).value();
 
-    const double reference = barrier.outcome.monetized_usd;
+    const double reference = exact.outcome.monetized_usd;
     if (cycle.price_product(loop.graph) <= 1.0) {
       EXPECT_DOUBLE_EQ(maxmax.monetized_usd, 0.0);
       EXPECT_DOUBLE_EQ(reference, 0.0);
+      EXPECT_DOUBLE_EQ(barrier.objective, 0.0);
       EXPECT_DOUBLE_EQ(generic.profit_usd, 0.0);
       continue;
     }
     ++profitable;
     const double tol = 1e-4 * std::max(1e-9, reference);
+    EXPECT_NEAR(barrier.objective, reference,
+                1e-6 * std::max(1e-9, reference))
+        << "len=" << length << " trial=" << trial;
     EXPECT_NEAR(generic.profit_usd, reference,
                 1e-6 * std::max(1e-9, reference))
         << "len=" << length << " trial=" << trial;

@@ -11,6 +11,7 @@
 #include "graph/cycle_enumeration.hpp"
 #include "market/generator.hpp"
 #include "sim/engine.hpp"
+#include "sim/integer_check.hpp"
 
 namespace arb {
 namespace {
@@ -94,24 +95,39 @@ TEST_P(StrategyPropertyTest, ZeroProfitTheoremOnUnprofitableOrientations) {
 }
 
 TEST_P(StrategyPropertyTest, PlansRealizeTheirPromisesUnderExecution) {
+  // Each Convex plan executes against the pools and also settles in
+  // on-chain integer arithmetic: its hops sit exactly on the flow
+  // constraints, where flooring can leave a hop a few base units short.
   auto snapshot = make_market();
-  auto study = core::run_market_study(snapshot, 3);
-  ASSERT_TRUE(study.ok());
   const sim::ExecutionEngine engine;
-  std::size_t executed = 0;
-  for (const core::LoopComparison& row : study->loops) {
-    if (++executed > 10) break;  // bound runtime
-    // Execute on a fresh copy of the filtered market each time.
-    market::MarketSnapshot working = study->market;
-    auto plan = core::plan_from_convex(working.graph, row.cycle, row.convex);
-    ASSERT_TRUE(plan.ok());
-    if (plan->steps.empty() || row.convex.outcome.monetized_usd <= 0.0) {
-      continue;
+  for (const std::size_t length : {3u, 4u}) {
+    SCOPED_TRACE("length " + std::to_string(length));
+    auto study = core::run_market_study(snapshot, length);
+    ASSERT_TRUE(study.ok());
+    std::size_t executed = 0;
+    for (const core::LoopComparison& row : study->loops) {
+      if (++executed > 10) break;  // bound runtime
+      // Execute on a fresh copy of the filtered market each time.
+      market::MarketSnapshot working = study->market;
+      auto plan = core::plan_from_convex(working.graph, row.cycle, row.convex);
+      ASSERT_TRUE(plan.ok());
+      if (plan->steps.empty() || row.convex.outcome.monetized_usd <= 0.0) {
+        continue;
+      }
+      const double expected = plan->expected_monetized_usd;
+      auto integer =
+          sim::check_plan_integer(working.graph, working.prices, *plan);
+      ASSERT_TRUE(integer.ok()) << integer.error().to_string();
+      EXPECT_TRUE(integer->settles) << row.cycle.rotation_key();
+      EXPECT_NEAR(integer->realized_usd, expected,
+                  0.01 * std::max(1.0, expected))
+          << row.cycle.rotation_key();
+
+      auto report = engine.execute(working.graph, working.prices, *plan);
+      ASSERT_TRUE(report.ok()) << report.error().to_string();
+      EXPECT_NEAR(report->realized_usd, row.convex.outcome.monetized_usd,
+                  1e-5 * std::max(1.0, row.convex.outcome.monetized_usd));
     }
-    auto report = engine.execute(working.graph, working.prices, *plan);
-    ASSERT_TRUE(report.ok()) << report.error().to_string();
-    EXPECT_NEAR(report->realized_usd, row.convex.outcome.monetized_usd,
-                1e-5 * std::max(1.0, row.convex.outcome.monetized_usd));
   }
 }
 

@@ -8,6 +8,7 @@
 #include "common/rng.hpp"
 #include "core/scanner.hpp"
 #include "market/generator.hpp"
+#include "runtime/replay_stream.hpp"
 #include "runtime/validation.hpp"
 #include "sim/replay.hpp"
 #include "tests/core/fixtures.hpp"
@@ -134,6 +135,67 @@ TEST(IncrementalScannerTest, DifferentialWithWorkerPool) {
   core::ScannerConfig config;
   config.loop_lengths = {3};
   run_differential(test_snapshot(), config, 300, /*seed=*/14, &workers);
+}
+
+/// The ranked set after streaming `events` through a fresh warm-started
+/// Convex scanner in consecutive batches of `batch` events.
+std::vector<core::Opportunity> ranked_after_batches(
+    const market::MarketSnapshot& snapshot,
+    const std::vector<PoolUpdateEvent>& events, std::size_t batch) {
+  core::ScannerConfig config;
+  config.loop_lengths = {3};
+  config.strategy = core::StrategyKind::kConvexOptimization;
+  config.convex_warm_start = true;
+  auto scanner = IncrementalScanner::create(snapshot, config).value();
+  for (std::size_t begin = 0; begin < events.size(); begin += batch) {
+    const std::size_t end = std::min(events.size(), begin + batch);
+    EXPECT_TRUE(scanner
+                    .apply(std::vector<PoolUpdateEvent>(
+                        events.begin() + static_cast<std::ptrdiff_t>(begin),
+                        events.begin() + static_cast<std::ptrdiff_t>(end)))
+                    .ok());
+  }
+  return scanner.collect();
+}
+
+TEST(IncrementalScannerTest, ConvexRankedSetIndependentOfBatchBoundaries) {
+  // A warm-started barrier solve resumes from wherever the cycle's last
+  // batch left it, so its last bits depend on how the stream is cut into
+  // batches. The active set prices every length-3 loop exactly, with no
+  // history: the same 1000+ events in batches of 1, 16 or 256 must leave
+  // the same ranked set, bit for bit, on the paper market and on a mixed
+  // one.
+  for (const double venue_fraction : {0.0, 0.2}) {
+    market::GeneratorConfig gen;
+    gen.stable_fraction = venue_fraction;
+    gen.concentrated_fraction = venue_fraction;
+    const market::MarketSnapshot snapshot =
+        market::generate_snapshot(gen).filtered(market::PoolFilter{});
+    SCOPED_TRACE("stable/concentrated fraction " +
+                 std::to_string(venue_fraction));
+
+    ReplayStreamConfig stream_config;
+    stream_config.seed = 7;
+    stream_config.blocks = 6;
+    ReplayUpdateStream stream(snapshot, stream_config);
+    std::vector<PoolUpdateEvent> events;
+    while (auto event = stream.next()) events.push_back(*event);
+    ASSERT_GE(events.size(), 1000u);
+
+    const auto reference = ranked_after_batches(snapshot, events, 1);
+    ASSERT_GT(reference.size(), 50u);
+    for (const std::size_t batch : {16u, 256u}) {
+      const auto ranked = ranked_after_batches(snapshot, events, batch);
+      ASSERT_EQ(ranked.size(), reference.size()) << "batch " << batch;
+      for (std::size_t i = 0; i < ranked.size(); ++i) {
+        EXPECT_EQ(ranked[i].cycle.rotation_key(),
+                  reference[i].cycle.rotation_key())
+            << "batch " << batch << ", rank " << i;
+        EXPECT_EQ(ranked[i].net_profit_usd, reference[i].net_profit_usd)
+            << "batch " << batch << ", rank " << i;
+      }
+    }
+  }
 }
 
 TEST(IncrementalScannerTest, CoalescesDuplicatePoolsInBatch) {

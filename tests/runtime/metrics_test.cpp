@@ -183,8 +183,8 @@ TEST(RuntimeMetricsTest, EveryRowFlowsThroughSnapshotSummaryAndCsv) {
       "loops_repriced_mixed_generic", "routing_queries", "routing_direct",
       "routing_water_filling", "routing_flow_solves", "routing_failures",
       "routing_samples", "routing_p50_us", "routing_p99_us",
-      "routing_max_us"};
-  ASSERT_EQ(kPinnedColumns.size(), 55u);
+      "routing_max_us", "loops_convex_active_set", "loops_convex_certified"};
+  ASSERT_EQ(kPinnedColumns.size(), 57u);
   for (const std::string& column : kPinnedColumns) {
     EXPECT_NE(std::find(table.header.begin(), table.header.end(), column),
               table.header.end())

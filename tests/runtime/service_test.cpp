@@ -334,55 +334,56 @@ TEST(ScannerServiceTest, BatchSizesConvergeIdentically) {
   }
 }
 
-TEST(ScannerServiceTest, WarmHitRateAboveEightyPercentInSteadyState) {
-  const auto snapshot = test_snapshot();
+/// Streams the seed-9 replay (25 blocks, one block per batch) through a
+/// warm-started Convex service on `snapshot` and returns its metrics.
+MetricsSnapshot stream_warm_convex(const market::MarketSnapshot& snapshot,
+                                   std::size_t loop_length) {
   ServiceConfig config;
-  config.scanner.loop_lengths = {3};
+  config.scanner.loop_lengths = {loop_length};
   config.scanner.strategy = core::StrategyKind::kConvexOptimization;
   config.scanner.convex_warm_start = true;
   config.worker_threads = 2;
   config.shards = 2;
-  // One block (40 pools, one event each) per batch. The test thread
+  // One block (every pool, one event each) per batch: the test thread
   // floods the queue far faster than the consumer drains it, so the
-  // default max_batch would fold several blocks into one epoch and the
-  // universe would only be swept a handful of times — first-visit cold
-  // solves would dominate the ratio regardless of how well slots
-  // survive. Steady state means one reprice round per block.
-  config.max_batch = 40;
+  // default max_batch would fold several blocks into one epoch.
+  config.max_batch = snapshot.graph.pool_count();
   auto service = ScannerService::start(snapshot, config).value();
 
-  // A long clean stream of small reserve moves: after the first visit
-  // primes each slot, nearly every solve should resume warm. Keeping
-  // warm slots across profitless visits is what holds the rate up —
-  // loops flickering around the profitability boundary used to pay a
-  // cold restart on every return.
   ReplayStreamConfig stream_config;
   stream_config.blocks = 25;
   stream_config.seed = 9;
   ReplayUpdateStream stream(snapshot, stream_config);
   while (auto event = stream.next()) {
-    ASSERT_TRUE(service->publish(*event));
+    EXPECT_TRUE(service->publish(*event));
   }
   service->drain();
-  ASSERT_TRUE(service->status().ok());
-
+  EXPECT_TRUE(service->status().ok());
   const MetricsSnapshot metrics = service->metrics();
-  const std::uint64_t solves =
-      metrics[Counter::warm_hits] + metrics[Counter::warm_misses];
-  ASSERT_GT(solves, 0u);
-  const double rate = static_cast<double>(metrics[Counter::warm_hits]) /
-                      static_cast<double>(solves);
-  EXPECT_GE(rate, 0.80) << metrics[Counter::warm_hits] << "/" << solves;
   service->stop();
+  return metrics;
 }
 
-TEST(ScannerServiceTest, MixedWarmHitRateAboveSixtyPercentInSteadyState) {
-  // The mixed-venue analogue of the test above: stable and concentrated
-  // hops run the same barrier fast path, so their cycles' warm slots
-  // must survive streaming too. The bar is lower than the all-CPMM 80%
-  // because mixed repricing occasionally detours through the generic
-  // solver (tick-crossing containment), and those solves don't count as
-  // hits — but on a clean in-range stream the barrier route dominates.
+TEST(ScannerServiceTest, ActiveSetAnswersEveryLength3LoopInSteadyState) {
+  // Length-3 loops never reach the barrier: the active set prices every
+  // gate survivor, so warm starts are neither hit nor missed and no slot
+  // is ever invalidated. (The barrier's own warm-hit bars live in
+  // WarmStartTest's stream tests.)
+  const MetricsSnapshot metrics = stream_warm_convex(test_snapshot(), 3);
+  const std::uint64_t survivors = metrics[Counter::loops_repriced_cpmm] +
+                                  metrics[Counter::loops_repriced_mixed];
+  ASSERT_GT(survivors, 0u);
+  EXPECT_EQ(metrics[Counter::loops_convex_active_set], survivors);
+  EXPECT_GT(metrics[Counter::loops_convex_certified], 0u);
+  EXPECT_LE(metrics[Counter::loops_convex_certified], survivors);
+  EXPECT_EQ(metrics[Counter::warm_hits] + metrics[Counter::warm_misses], 0u);
+  EXPECT_EQ(metrics[Counter::warm_invalidations], 0u);
+  EXPECT_EQ(metrics[Counter::solver_iterations], 0u);
+}
+
+TEST(ScannerServiceTest, MixedActiveSetAnswersEveryLength3LoopInSteadyState) {
+  // The mixed-venue analogue: StableSwap and concentrated hops take the
+  // same exact rung, never the generic solver on a clean in-range stream.
   market::GeneratorConfig gen;
   gen.token_count = 18;
   gen.pool_count = 40;
@@ -391,39 +392,39 @@ TEST(ScannerServiceTest, MixedWarmHitRateAboveSixtyPercentInSteadyState) {
   const auto snapshot = market::generate_snapshot(gen);
   ASSERT_FALSE(snapshot.graph.all_cpmm());
 
-  ServiceConfig config;
-  config.scanner.loop_lengths = {3};
-  config.scanner.strategy = core::StrategyKind::kConvexOptimization;
-  config.scanner.convex_warm_start = true;
-  config.worker_threads = 2;
-  config.shards = 2;
-  config.max_batch = 40;  // one block per batch (see the CPMM test)
-  auto service = ScannerService::start(snapshot, config).value();
-
-  ReplayStreamConfig stream_config;
-  stream_config.blocks = 25;
-  stream_config.seed = 9;
-  ReplayUpdateStream stream(snapshot, stream_config);
-  while (auto event = stream.next()) {
-    ASSERT_TRUE(service->publish(*event));
-  }
-  service->drain();
-  ASSERT_TRUE(service->status().ok());
-
-  const MetricsSnapshot metrics = service->metrics();
-  // The stream actually exercised mixed loops on the fast path.
+  const MetricsSnapshot metrics = stream_warm_convex(snapshot, 3);
   EXPECT_GT(metrics[Counter::loops_repriced_mixed], 0u);
-  EXPECT_GT(metrics[Counter::loops_repriced_mixed_fast], 0u);
-  const std::uint64_t solves =
-      metrics[Counter::warm_hits] + metrics[Counter::warm_misses];
-  ASSERT_GT(solves, 0u);
-  const double rate = static_cast<double>(metrics[Counter::warm_hits]) /
-                      static_cast<double>(solves);
-  EXPECT_GE(rate, 0.60) << metrics[Counter::warm_hits] << "/" << solves;
-  // Clean stream, in-range moves: no slot ever goes valid → invalid
-  // (quarantines and generic-route invalidation are fault/edge events).
+  EXPECT_EQ(metrics[Counter::loops_repriced_mixed_fast],
+            metrics[Counter::loops_repriced_mixed]);
+  EXPECT_EQ(metrics[Counter::loops_repriced_mixed_generic], 0u);
+  const std::uint64_t survivors = metrics[Counter::loops_repriced_cpmm] +
+                                  metrics[Counter::loops_repriced_mixed];
+  EXPECT_EQ(metrics[Counter::loops_convex_active_set], survivors);
+  EXPECT_EQ(metrics[Counter::warm_hits] + metrics[Counter::warm_misses], 0u);
   EXPECT_EQ(metrics[Counter::warm_invalidations], 0u);
-  service->stop();
+}
+
+TEST(ScannerServiceTest, UncertifiedLongLoopWarmStartsTheBarrier) {
+  // A 10-token ring whose every hop is profitable on its own at the CEX
+  // prices: the optimum retains profit in every token, so the MaxMax
+  // trade fails the certificate, the loop is too long to enumerate, and
+  // the barrier prices it — from the cycle's warm slot once primed.
+  market::MarketSnapshot ring;
+  std::vector<TokenId> tokens;
+  for (int i = 0; i < 10; ++i) {
+    tokens.push_back(ring.graph.add_token("R" + std::to_string(i)));
+    ring.prices.set_price(tokens.back(), 1.0);
+  }
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    (void)ring.graph.add_pool(tokens[i], tokens[(i + 1) % tokens.size()],
+                              100.0, 150.0, 0.003);
+  }
+
+  const MetricsSnapshot metrics = stream_warm_convex(ring, 10);
+  EXPECT_GT(metrics[Counter::loops_repriced_cpmm], 0u);
+  EXPECT_EQ(metrics[Counter::loops_convex_active_set], 0u);
+  EXPECT_GT(metrics[Counter::warm_hits], 0u);
+  EXPECT_GT(metrics[Counter::solver_iterations], 0u);
 }
 
 TEST(RoutingServiceTest, AnswersQueriesAndCountsMethods) {
