@@ -59,6 +59,7 @@ struct StreamResult {
   std::size_t warm_misses = 0;
   std::size_t repriced_cpmm = 0;
   std::size_t repriced_mixed = 0;
+  std::size_t repriced_active_set = 0;
   std::size_t repriced_mixed_fast = 0;
   std::size_t repriced_mixed_generic = 0;
   double reprice_cpmm_us = 0.0;
@@ -96,6 +97,7 @@ StreamResult replay_stream(const market::MarketSnapshot& snapshot,
     result.warm_misses += report.warm_misses;
     result.repriced_cpmm += report.repriced_cpmm;
     result.repriced_mixed += report.repriced_mixed;
+    result.repriced_active_set += report.repriced_active_set;
     result.repriced_mixed_fast += report.repriced_mixed_fast;
     result.repriced_mixed_generic += report.repriced_mixed_generic;
     result.reprice_cpmm_us += report.reprice_cpmm_us;
@@ -151,7 +153,8 @@ int main() {
   const double full_median_us = full.median_ns * 1e-3;
   const double speedup = full_median_us / incremental_median_us;
 
-  // (c) The same stream under Convex with warm-started barrier solves.
+  // (c) The same stream under Convex, warm starts on (the active set
+  // answers every length-3 loop, so the barrier never runs).
   core::ScannerConfig convex_config = config;
   convex_config.strategy = core::StrategyKind::kConvexOptimization;
   convex_config.convex_warm_start = true;
@@ -483,9 +486,11 @@ int main() {
 
   std::printf("\nincremental vs full rescan speedup: %.1fx (median)\n",
               speedup);
-  std::printf("convex stream: median %.1fus, warm hit rate %.1f%%, "
-              "%llu Newton iters\n",
-              convex_median_us, 100.0 * warm_hit_rate,
+  std::printf("convex stream: median %.1fus, active set %zu of %zu loops, "
+              "warm hit rate %.1f%%, %llu Newton iters\n",
+              convex_median_us, convex_stream.repriced_active_set,
+              convex_stream.repriced_cpmm + convex_stream.repriced_mixed,
+              100.0 * warm_hit_rate,
               static_cast<unsigned long long>(
                   convex_stream.solver_iterations));
   std::printf("service: %.0f events/sec, reprice p50=%.1fus p99=%.1fus\n",
@@ -544,17 +549,20 @@ int main() {
                  speedup, speedup_bar);
     return 1;
   }
-  // Warm slots now survive profitless visits and the interior projection
-  // rebuilds the tight Möbius chain on the perturbed pools, so even the
-  // flickering loops of this replay stream should mostly resume warm.
-  // The controlled small-perturbation workload in bench_solver_hotpath
-  // holds the ≥95% bar; this bar checks realistic flickering traffic
-  // keeps the cache engaged well past the old invalidate-on-gate ~46%.
-  const double hit_bar = relaxed ? 0.5 : 0.6;
-  if (convex_solves > 0 && warm_hit_rate < hit_bar) {
+  // The Convex stream's loops have 3 hops, so the exact active set prices
+  // every gate survivor and no solve reaches the barrier: no warm hit or
+  // miss. The barrier's warm-start bar (≥95% hits) is bench_solver_hotpath
+  // (c), which drives solve_flow directly.
+  const std::size_t convex_survivors =
+      convex_stream.repriced_cpmm + convex_stream.repriced_mixed;
+  if (convex_survivors == 0 ||
+      convex_stream.repriced_active_set != convex_survivors ||
+      convex_solves != 0) {
     std::fprintf(stderr,
-                 "FAIL: convex stream warm hit rate %.2f below %.2f bar\n",
-                 warm_hit_rate, hit_bar);
+                 "FAIL: convex stream: active set priced %zu of %zu gate "
+                 "survivors, %zu warm hits + misses (want all, 0)\n",
+                 convex_stream.repriced_active_set, convex_survivors,
+                 convex_solves);
     return 1;
   }
   // Shard-throughput bar: K=4 must keep up with K=1 — the best sharded

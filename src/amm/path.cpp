@@ -44,12 +44,15 @@ double MobiusCoefficients::derivative(double input) const {
   return a * b / (denom * denom);
 }
 
-double MobiusCoefficients::optimal_input() const {
-  // maximize aΔ/(b+cΔ) − Δ. Stationarity: ab/(b+cΔ)² = 1
-  //   → Δ* = (√(ab) − b)/c. Profitable iff rate at zero a/b > 1.
-  if (a <= b) return 0.0;
-  ARB_REQUIRE(c > 0.0, "profitable Möbius map must have c > 0");
-  return (std::sqrt(a * b) - b) / c;
+double MobiusCoefficients::optimal_input(double lambda) const {
+  // maximize aΔ/(b+cΔ) − λΔ. Stationarity: ab/(b+cΔ)² = λ
+  //   → Δ* = (√(ab/λ) − b)/c. Profitable iff the rate at zero a/b > λ.
+  // λ = 1 divides exactly, so the single-start optimum is (√(ab) − b)/c
+  // to the bit. Rounding can leave a map that barely pays λ one ulp
+  // below 0; the clamp keeps NaN.
+  if (a <= lambda * b) return 0.0;
+  const double input = (std::sqrt(a * b / lambda) - b) / c;
+  return input < 0.0 ? 0.0 : input;
 }
 
 Result<PoolPath> PoolPath::create(std::vector<Hop> hops) {

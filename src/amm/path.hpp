@@ -10,12 +10,14 @@
 ///   γ·y·m(Δ) / (x + γ·m(Δ)) = (γ·y·a)·Δ / (x·b + (x·c + γ·a)·Δ).
 ///
 /// Consequently a whole path — and in particular a whole arbitrage loop —
-/// behaves exactly like one virtual pool, and the optimal single input
-/// maximizing out(Δ) − Δ has the analytic solution Δ* = (√(a·b) − b)/c
-/// (0 when a ≤ b, i.e. when the loop's price product is ≤ 1). That closed
-/// form is the production single-start optimizer; the paper's bisection on
-/// d out/d in = 1 solves the same equation numerically and is kept as the
-/// tested reference.
+/// behaves exactly like one virtual pool, and the input maximizing
+/// out(Δ) − λ·Δ has the analytic solution Δ* = (√(a·b/λ) − b)/c (0 when
+/// a ≤ λ·b). λ = 1 is the single-start trade on a loop (0 when its price
+/// product is ≤ 1), λ = P_a/P_b a segment of the Convex active set, and
+/// λ the common marginal rate of water-filling. The production solvers
+/// read that one formula; optimize_input_analytic (the closed form over a
+/// PoolPath) and the paper's bisection on d out/d in = 1 are kept as the
+/// tested references.
 
 #include <vector>
 
@@ -49,8 +51,10 @@ struct MobiusCoefficients {
   /// Marginal rate at zero input: a/b (the loop's price product).
   [[nodiscard]] double rate_at_zero() const { return a / b; }
 
-  /// argmax of evaluate(Δ) − Δ over Δ >= 0 (closed form; 0 if no profit).
-  [[nodiscard]] double optimal_input() const;
+  /// argmax of evaluate(Δ) − λ·Δ over Δ >= 0: (√(a·b/λ) − b)/c, and 0
+  /// when a ≤ λ·b (the map never pays λ). NaN coefficients give NaN, not
+  /// the zero trade, so callers can report them.
+  [[nodiscard]] double optimal_input(double lambda = 1.0) const;
 };
 
 /// One hop: a pool and which of its tokens is the input side.

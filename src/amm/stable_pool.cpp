@@ -1,5 +1,6 @@
 #include "amm/stable_pool.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -93,47 +94,23 @@ Amount StablePool::reserve_of(TokenId token) const {
   return token == token0_ ? reserve0_ : reserve1_;
 }
 
-double StablePool::solve_other_balance(double new_in_balance,
-                                       double d) const {
-  // For two coins: y² + y·(S' + D/Ann − D) = D³/(4·S'·Ann) with
-  // S' = new_in_balance. Newton from y₀ = D (Curve's iteration):
-  //   y ← (y² + c) / (2y + b − D),
-  //   b = S' + D/Ann,  c = D³/(4·S'·Ann).
-  const double ann = 4.0 * amplification_;
-  const double b = new_in_balance + d / ann;
-  const double c = d * d * d / (4.0 * new_in_balance * ann);
-  double y = d;
-  for (int i = 0; i < kNewtonIterations; ++i) {
-    const double y_next = (y * y + c) / (2.0 * y + b - d);
-    if (std::abs(y_next - y) <= kConvergence * std::max(1.0, y)) {
-      return y_next;
-    }
-    y = y_next;
-  }
-  return y;
-}
-
 SwapQuote StablePool::quote(TokenId token_in, Amount amount_in) const {
   ARB_REQUIRE(amount_in >= 0.0, "amount_in must be non-negative");
   const double x = reserve_of(token_in);
   const double y = reserve_of(other(token_in));
-  const double d = invariant_d_;
+  const StableCurve at_d = curve();
+  const double gamma = 1.0 - fee_;
 
-  const auto gross_out = [&](double dx) {
-    if (dx == 0.0) return 0.0;
-    const double y_new = solve_other_balance(x + dx, d);
-    return std::max(0.0, y - y_new);
-  };
-
+  // At fixed D the post-swap balance is the curve's closed-form root, so
+  // the quote is γ·(y₀ − Y(x₀ + Δ)), the solver kernel to the bit, and
+  // its marginal rate the exact −γ·Y'(x₀ + Δ). Zero input buys exactly
+  // zero (Y(x₀) itself rounds).
   SwapQuote q;
   q.amount_in = amount_in;
-  q.amount_out = gross_out(amount_in) * (1.0 - fee_);
-  // Numeric marginal rate (central difference with a relative step).
-  const double h = std::max(1e-9, std::abs(amount_in) * 1e-7) +
-                   1e-9 * std::max(x, y);
-  const double lo = std::max(0.0, amount_in - h);
-  q.marginal_rate = (gross_out(amount_in + h) - gross_out(lo)) *
-                    (1.0 - fee_) / (amount_in + h - lo);
+  if (amount_in > 0.0) {
+    q.amount_out = gamma * std::max(0.0, y - at_d.y(x + amount_in));
+  }
+  q.marginal_rate = -gamma * at_d.dy_dx(x + amount_in);
   return q;
 }
 

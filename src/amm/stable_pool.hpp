@@ -11,8 +11,10 @@
 ///   A·n²·(x + y) + D  =  A·n²·D + D³ / (n²·x·y)
 ///
 /// interpolates between constant-sum (A → ∞) and constant-product
-/// (A → 0). D and the post-swap balance have no closed form; both are
-/// solved by the same Newton iterations the Curve contract uses.
+/// (A → 0). D has no closed form and is solved by the fixed-point
+/// iteration the Curve contract uses, once per reserve state; at that
+/// fixed D the post-swap balance is the positive root of a quadratic
+/// (StableCurve), so quotes and their marginal rates are closed form.
 /// The swap function stays strictly increasing and strictly concave, so
 /// every optimizer in this library that relies only on those properties
 /// (bisection / golden-section / the generic path optimizer) works on
@@ -74,14 +76,16 @@ class StablePool {
   /// the solver kernel never re-run the D Newton.
   [[nodiscard]] double invariant() const { return invariant_d_; }
 
-  /// Fixed-D closed-form curve at the current reserve state, for the
-  /// barrier solver's analytic stable-hop kernel.
+  /// Fixed-D closed-form curve at the current reserve state: the quote's
+  /// and the solvers' stable-hop kernel.
   [[nodiscard]] StableCurve curve() const {
     return StableCurve{invariant_d_, 4.0 * amplification_};
   }
 
   /// Quotes a swap without mutating state (fee charged on the output,
-  /// as Curve does). Preconditions: contains(token_in), amount_in >= 0.
+  /// as Curve does): γ·(y₀ − Y(x₀ + Δ)) on curve(), bit-identical to the
+  /// solver's stable kernel, with the exact marginal rate −γ·Y'(x₀ + Δ).
+  /// Preconditions: contains(token_in), amount_in >= 0.
   [[nodiscard]] SwapQuote quote(TokenId token_in, Amount amount_in) const;
 
   /// Executes a swap. The fee share of the output stays in the pool
@@ -89,8 +93,7 @@ class StablePool {
   [[nodiscard]] Result<SwapQuote> apply_swap(TokenId token_in,
                                              Amount amount_in);
 
-  /// Marginal rate at zero input (numeric; the curve has no closed-form
-  /// derivative worth maintaining).
+  /// Marginal rate at zero input: −γ·Y'(x₀), exact.
   [[nodiscard]] double spot_rate(TokenId token_in) const;
 
   /// Relative price of `token_in` in units of the other token at zero
@@ -103,11 +106,6 @@ class StablePool {
   [[nodiscard]] std::string to_string() const;
 
  private:
-  /// Solves the post-trade balance of the *other* side given the input
-  /// side's new balance, holding D fixed.
-  [[nodiscard]] double solve_other_balance(double new_in_balance,
-                                           double d) const;
-
   PoolId id_;
   TokenId token0_;
   TokenId token1_;

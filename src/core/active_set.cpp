@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "amm/any_pool.hpp"
 #include "amm/path.hpp"
@@ -53,15 +54,6 @@ double hop_inverse(const LoopHopData& hop, double out) {
   if (!(out < hop.reserve_out)) return kInf;
   return hop.reserve_in * out / (hop.gamma * (hop.reserve_out - out));
 }
-
-/// One segment's optimum: the input at its first token, the output at
-/// its last, and P_b·output − P_a·input.
-struct Segment {
-  double input = 0.0;
-  double output = 0.0;
-  double value = 0.0;
-  bool capped = false;  ///< the cap, not stationarity, set the input
-};
 
 /// The hops of the segment that starts at token `a` and spans `len`
 /// hops (len = n: the whole loop back to a).
@@ -141,15 +133,6 @@ class SegmentView {
   std::size_t len_;
 };
 
-/// argmax of P_b·G(x) − P_a·x over [0, cap] for a Möbius segment:
-/// x* = (√(P_b·a·b/P_a) − b)/c, clamped.
-double mobius_optimum(const amm::MobiusCoefficients& g, double p_in,
-                      double p_out) {
-  const double rate = (p_out / p_in) * (g.a / g.b);  // P_b·G'(0)/P_a
-  if (!(rate > 1.0)) return 0.0;
-  return g.b * (std::sqrt(rate) - 1.0) / g.c;
-}
-
 /// Safeguarded Newton on P_b·G'(x) = P_a over [0, cap] for a segment
 /// crossing a StableSwap hop. φ'(x) = P_b·G'(x) − P_a is decreasing (G
 /// is concave); the bracket [lo, hi] keeps φ'(lo) > 0 ≥ φ'(hi), and a
@@ -168,7 +151,7 @@ double newton_optimum(const SegmentView& seg, double cap) {
   double lo = 0.0;
   double hi = cap;
   double x = 0.0;
-  if (const auto proxy = seg.mobius()) x = mobius_optimum(*proxy, p_in, p_out);
+  if (const auto proxy = seg.mobius()) x = proxy->optimal_input(p_in / p_out);
   if (!(x > lo && x < hi)) {
     const LoopHopData& first = seg.hop(0);
     const double depth = first.kind == HopKind::kStable
@@ -193,7 +176,10 @@ double newton_optimum(const SegmentView& seg, double cap) {
 }
 
 /// Solves one segment; nullopt when extreme state (reserves far outside
-/// double's comfortable range) leaves its optimum non-finite.
+/// double's comfortable range) leaves its optimum non-finite. A Möbius
+/// segment maximizes G(x) − λ·x with λ = P_a/P_b, clamped to the cap;
+/// a singleton has λ = 1 exactly, so its optimum is the single-start
+/// closed form to the bit.
 std::optional<Segment> solve_segment(const SegmentView& seg) {
   const double cap = seg.input_cap();
   Segment out;
@@ -204,7 +190,7 @@ std::optional<Segment> solve_segment(const SegmentView& seg) {
   } else {
     const amm::MobiusCoefficients g = *seg.mobius();
     out.input =
-        std::min(mobius_optimum(g, seg.price_in(), seg.price_out()), cap);
+        std::min(g.optimal_input(seg.price_in() / seg.price_out()), cap);
     if (!(out.input >= 0.0 && out.input < kInf)) return std::nullopt;
     out.output = g.evaluate(out.input);
   }
@@ -213,35 +199,6 @@ std::optional<Segment> solve_segment(const SegmentView& seg) {
   if (!std::isfinite(out.value)) return std::nullopt;
   return out;
 }
-
-/// Segment optima for every (start, length), filled on demand:
-/// entry a·n + (len − 1).
-class SegmentTable {
- public:
-  explicit SegmentTable(const std::vector<LoopHopData>& hops)
-      : hops_(hops), n_(hops.size()), table_(n_ * n_), solved_(n_ * n_, 0) {}
-
-  /// A segment whose optimum is not finite reads as the zero segment and
-  /// marks the table broken: the loop's answer is then not trusted.
-  const Segment& at(std::size_t a, std::size_t len) {
-    const std::size_t i = a * n_ + (len - 1);
-    if (solved_[i] == 0) {
-      const auto solved = solve_segment(SegmentView(hops_, a, len));
-      broken_ |= !solved.has_value();
-      table_[i] = solved.value_or(Segment{});
-      solved_[i] = 1;
-    }
-    return table_[i];
-  }
-  [[nodiscard]] bool broken() const { return broken_; }
-
- private:
-  const std::vector<LoopHopData>& hops_;
-  std::size_t n_;
-  std::vector<Segment> table_;
-  std::vector<char> solved_;
-  bool broken_ = false;
-};
 
 /// Hops from `a` to the next retaining token after it (n when `a` is
 /// the only one).
@@ -290,9 +247,10 @@ std::uint32_t enumerate(SegmentTable& table, std::size_t n) {
 /// eq. (8)'s multipliers are q_j − P_j, so q_j ≥ P_j everywhere proves
 /// the trade optimal. A capped or zero trade is not certified (its
 /// chain does not close on stationarity).
-bool certify(const std::vector<LoopHopData>& hops, std::size_t s,
-             const Segment& trade) {
+bool certify(SegmentTable& table, std::size_t s) {
+  const Segment& trade = table.rotation(s);
   if (!(trade.input > 0.0) || trade.capped) return false;
+  const std::vector<LoopHopData>& hops = table.hops();
   const std::size_t n = hops.size();
   double q = hops[s].price_in;
   double d = trade.input;
@@ -319,9 +277,9 @@ double honest_output(const LoopHopData& hop, double d,
 /// with the largest relative retention; every later segment's input is
 /// capped by what arrives, so quote rounding cannot leave a retaining
 /// token short.
-ActiveSetSolution realize(const std::vector<LoopHopData>& hops,
-                          SegmentTable& table, std::uint32_t mask,
+ActiveSetSolution realize(SegmentTable& table, std::uint32_t mask,
                           const graph::TokenGraph* graph) {
+  const std::vector<LoopHopData>& hops = table.hops();
   const std::size_t n = hops.size();
   ActiveSetSolution sol;
   sol.inputs.assign(n, 0.0);
@@ -367,44 +325,57 @@ ActiveSetSolution realize(const std::vector<LoopHopData>& hops,
   return sol;
 }
 
-bool degenerate(const std::vector<LoopHopData>& hops) {
-  return hops.size() < 2 ||
-         std::any_of(hops.begin(), hops.end(), hop_degenerate);
-}
-
 }  // namespace
 
+SegmentTable::SegmentTable(std::vector<LoopHopData> hops)
+    : hops_(std::move(hops)),
+      n_(hops_.size()),
+      degenerate_(n_ < 2 ||
+                  std::any_of(hops_.begin(), hops_.end(), hop_degenerate)),
+      table_(n_ * n_),
+      solved_(n_ * n_, 0) {}
+
+const Segment& SegmentTable::at(std::size_t a, std::size_t len) {
+  const std::size_t i = a * n_ + (len - 1);
+  if (solved_[i] == 0) {
+    const auto solved = solve_segment(SegmentView(hops_, a, len));
+    broken_ |= !solved.has_value();
+    table_[i] = solved.value_or(Segment{});
+    solved_[i] = 1;
+  }
+  return table_[i];
+}
+
 std::optional<ActiveSetSolution> solve_active_set(
-    const std::vector<LoopHopData>& hops, const graph::TokenGraph* graph) {
-  if (degenerate(hops)) return std::nullopt;
-  const std::size_t n = hops.size();
-  SegmentTable table(hops);
+    SegmentTable& table, const graph::TokenGraph* graph) {
+  if (table.degenerate()) return std::nullopt;
+  const std::size_t n = table.size();
 
   // The singletons are the Traditional trades; the best one is MaxMax.
   std::size_t best = 0;
   for (std::size_t s = 1; s < n; ++s) {
-    if (table.at(s, n).value > table.at(best, n).value) best = s;
+    if (table.rotation(s).value > table.rotation(best).value) best = s;
   }
   if (table.broken()) return std::nullopt;
-  if (certify(hops, best, table.at(best, n))) {
-    ActiveSetSolution sol =
-        realize(hops, table, std::uint32_t{1} << best, graph);
+  if (certify(table, best)) {
+    ActiveSetSolution sol = realize(table, std::uint32_t{1} << best, graph);
     sol.certified = true;
     return sol;
   }
   if (n > kActiveSetMaxEnumerated) return std::nullopt;
   const std::uint32_t mask = enumerate(table, n);
   if (table.broken()) return std::nullopt;
-  return realize(hops, table, mask, graph);
+  return realize(table, mask, graph);
 }
 
 std::optional<ActiveSetSolution> enumerate_active_set(
-    const std::vector<LoopHopData>& hops, const graph::TokenGraph* graph) {
-  if (degenerate(hops) || hops.size() > kEnumerationLimit) return std::nullopt;
-  SegmentTable table(hops);
-  const std::uint32_t mask = enumerate(table, hops.size());
+    SegmentTable& table, const graph::TokenGraph* graph) {
+  if (table.degenerate() || table.size() > kEnumerationLimit) {
+    return std::nullopt;
+  }
+  const std::uint32_t mask = enumerate(table, table.size());
   if (table.broken()) return std::nullopt;
-  return realize(hops, table, mask, graph);
+  return realize(table, mask, graph);
 }
 
 }  // namespace arb::core

@@ -13,18 +13,23 @@ Result<std::vector<LoopComparison>> compare_strategies(
   for (const graph::Cycle& cycle : loops) {
     LoopComparison row(cycle);
 
-    auto rotations = evaluate_all_rotations(graph, prices, cycle);
-    if (!rotations) return rotations.error();
-    row.traditional = *std::move(rotations);
+    auto convex = solve_convex(graph, prices, cycle);
+    if (!convex) return convex.error();
+    row.convex = *std::move(convex);
+
+    // The Convex solve read the rotations off the loop's segment table;
+    // a loop its price-product gate answered has none yet.
+    row.traditional = std::move(row.convex.rotations);
+    if (row.traditional.empty()) {
+      auto rotations = evaluate_all_rotations(graph, prices, cycle);
+      if (!rotations) return rotations.error();
+      row.traditional = *std::move(rotations);
+    }
 
     auto max_price = max_price_of(row.traditional, prices);
     if (!max_price) return max_price.error();
     row.max_price = *std::move(max_price);
     row.max_max = max_max_of(row.traditional);
-
-    auto convex = solve_convex(graph, prices, cycle);
-    if (!convex) return convex.error();
-    row.convex = *std::move(convex);
 
     results.push_back(std::move(row));
   }

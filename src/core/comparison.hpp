@@ -28,9 +28,11 @@ struct LoopComparison {
   explicit LoopComparison(graph::Cycle c) : cycle(std::move(c)) {}
 };
 
-/// Runs all strategies on each loop: every rotation is solved once, and
-/// MaxPrice and MaxMax are picked from those results. Loops are taken
-/// as-is (callers filter for profitability first if desired).
+/// Runs all strategies on each loop off one segment table: the Convex
+/// solve fills the rotations (moved into `traditional`, so
+/// `convex.rotations` is left empty), and MaxPrice and MaxMax are picked
+/// from them. Loops are taken as-is (callers filter for profitability
+/// first if desired).
 [[nodiscard]] Result<std::vector<LoopComparison>> compare_strategies(
     const graph::TokenGraph& graph, const market::CexPriceFeed& prices,
     const std::vector<graph::Cycle>& loops);

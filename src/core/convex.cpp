@@ -6,6 +6,7 @@
 #include "common/logging.hpp"
 #include "core/active_set.hpp"
 #include "core/generic_convex.hpp"
+#include "core/single_start.hpp"
 
 namespace arb::core {
 namespace {
@@ -56,52 +57,24 @@ Result<ConvexSolution> solve_convex_generic(
   return solution;
 }
 
-}  // namespace
-
-Result<ConvexSolution> solve_convex(const graph::TokenGraph& graph,
-                                    const market::CexPriceFeed& prices,
-                                    const graph::Cycle& cycle,
-                                    const ConvexOptions& options,
-                                    ConvexContext& ctx) {
-  ctx.warm_hit = false;
-  ctx.used_active_set = false;
-  ctx.certified = false;
-  ctx.used_generic = false;
-  ctx.used_fallback = false;
-  // Iteration counters stay meaningful even on the analytic early-return
-  // paths below, so callers can read ctx.report after any outcome.
-  ctx.report.outer_iterations = 0;
-  ctx.report.total_newton_iterations = 0;
-
-  const std::size_t n = cycle.length();
-  // Theorem (Section IV): no arbitrage under MaxMax ⇒ none under Convex.
-  // Detect via the loop price product and skip the solver outright.
-  // Negated-comparison form so a NaN product (corrupted reserves) lands
-  // here as "no opportunity" instead of falling through to the solver.
-  if (!(cycle.price_product(graph) > 1.0 + kNoArbitrageMargin)) {
-    // The warm slot is deliberately KEPT. A profitless visit proves the
-    // current state has a zero optimum, not that the cached iterate is
-    // bad: when the loop swings profitable again the previous interior
-    // point is still an excellent restart (the interior projection and
-    // strict-feasibility check already guard against a genuinely stale
-    // iterate, falling back to cold). Invalidating here is what starved
-    // the streaming warm-hit rate — every gated visit forced the next
-    // profitable solve cold.
-    return make_solution(cycle, std::vector<double>(n, 0.0),
-                         std::vector<double>(n, 0.0),
-                         std::vector<double>(n, 0.0));
-  }
-
-  // Exact rung: every loop the active set can answer (n ≤ 8, or any n
-  // the certificate accepts) takes it; no iterations, no gap, and the
-  // warm slot stays as it is for a later barrier solve of the loop.
-  auto hops = make_hop_data(graph, prices, cycle);
-  if (!hops) return hops.error();
-  if (auto exact = solve_active_set(*hops, &graph)) {
+/// The ladder past the price-product gate, on the loop's kernels and
+/// their segment table. Exact rung: every loop the active set can answer
+/// (n ≤ 8, or any n the certificate accepts) takes it; no iterations, no
+/// gap, and the warm slot stays as it is for a later barrier solve of the
+/// loop.
+Result<ConvexSolution> solve_past_gate(const graph::TokenGraph& graph,
+                                       const market::CexPriceFeed& prices,
+                                       const graph::Cycle& cycle,
+                                       SegmentTable& table,
+                                       const ConvexOptions& options,
+                                       ConvexContext& ctx) {
+  if (auto exact = solve_active_set(table, &graph)) {
     ctx.used_active_set = true;
     ctx.certified = exact->certified;
-    std::vector<double> token_prices(n);
-    for (std::size_t j = 0; j < n; ++j) token_prices[j] = (*hops)[j].price_in;
+    std::vector<double> token_prices(table.size());
+    for (std::size_t j = 0; j < table.size(); ++j) {
+      token_prices[j] = table.hops()[j].price_in;
+    }
     return make_solution(cycle, std::move(exact->inputs),
                          std::move(exact->outputs), token_prices);
   }
@@ -142,6 +115,56 @@ Result<ConvexSolution> solve_convex(const graph::TokenGraph& graph,
                     "convex solve failed on loop " + cycle.rotation_key() +
                         ": barrier: " + flow.error().message +
                         "; generic fallback: " + rescued.error().message);
+}
+
+}  // namespace
+
+Result<ConvexSolution> solve_convex(const graph::TokenGraph& graph,
+                                    const market::CexPriceFeed& prices,
+                                    const graph::Cycle& cycle,
+                                    const ConvexOptions& options,
+                                    ConvexContext& ctx) {
+  ctx.warm_hit = false;
+  ctx.used_active_set = false;
+  ctx.certified = false;
+  ctx.used_generic = false;
+  ctx.used_fallback = false;
+  // Iteration counters stay meaningful even on the analytic early-return
+  // paths below, so callers can read ctx.report after any outcome.
+  ctx.report.outer_iterations = 0;
+  ctx.report.total_newton_iterations = 0;
+
+  const std::size_t n = cycle.length();
+  // Theorem (Section IV): no arbitrage under MaxMax ⇒ none under Convex.
+  // Detect via the loop price product and skip the solver outright.
+  // Negated-comparison form so a NaN product (corrupted reserves) lands
+  // here as "no opportunity" instead of falling through to the solver.
+  if (!(cycle.price_product(graph) > 1.0 + kNoArbitrageMargin)) {
+    // The warm slot is deliberately KEPT. A profitless visit proves the
+    // current state has a zero optimum, not that the cached iterate is
+    // bad: when the loop swings profitable again the previous interior
+    // point is still an excellent restart (the interior projection and
+    // strict-feasibility check already guard against a genuinely stale
+    // iterate, falling back to cold). Invalidating here is what starved
+    // the streaming warm-hit rate — every gated visit forced the next
+    // profitable solve cold.
+    return make_solution(cycle, std::vector<double>(n, 0.0),
+                         std::vector<double>(n, 0.0),
+                         std::vector<double>(n, 0.0));
+  }
+
+  auto hops = make_hop_data(graph, prices, cycle);
+  if (!hops) return hops.error();
+  SegmentTable table(*std::move(hops));
+  auto solution = solve_past_gate(graph, prices, cycle, table, options, ctx);
+  // Whichever rung answered, the active set solved every rotation first
+  // (the certificate needs the best one): hand them out with the answer.
+  if (solution) {
+    if (auto rotations = rotation_outcomes(table)) {
+      solution->rotations = *std::move(rotations);
+    }
+  }
+  return solution;
 }
 
 Result<ConvexSolution> solve_convex(const graph::TokenGraph& graph,

@@ -48,6 +48,12 @@ struct ConvexSolution {
   /// Certified duality gap from the barrier solver (USD); 0 when the
   /// active set answered (its answer is exact).
   double duality_gap_usd = 0.0;
+  /// The loop's n single-start trades (rotation order, as
+  /// evaluate_all_rotations returns them), read off the segment table
+  /// the active set filled on the way to this answer — whichever rung
+  /// gave it. Empty when the price-product gate answered (no table is
+  /// built) or the table could not be read (degenerate or non-finite).
+  std::vector<StrategyOutcome> rotations;
 };
 
 /// Runs the Convex Optimization strategy on a loop. The rotation anchor
@@ -66,7 +72,9 @@ struct ConvexSolution {
 /// degenerate kernel state) and rescues any barrier failure. ctx reports
 /// which rung ran; the active set leaves the warm slot as it is, and the
 /// generic solver invalidates it (its optimum does not map back to the
-/// barrier's central path).
+/// barrier's central path). Past the gate the loop's segment table is
+/// built once: the active set solves its rotations on the way, and they
+/// come back in ConvexSolution::rotations.
 [[nodiscard]] Result<ConvexSolution> solve_convex(
     const graph::TokenGraph& graph, const market::CexPriceFeed& prices,
     const graph::Cycle& cycle, const ConvexOptions& options = {});

@@ -1,7 +1,6 @@
 #include "core/routing.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_set>
 
 #include "amm/any_pool.hpp"
@@ -13,14 +12,6 @@
 
 namespace arb::core {
 namespace {
-
-/// Input on one path at common marginal rate lambda.
-double input_at_rate(const amm::MobiusCoefficients& m, double lambda) {
-  // a·b/(b + c·d)² = λ → d = (√(a·b/λ) − b)/c, clamped at 0 when the
-  // path's zero-size rate a/b is already below λ.
-  if (m.rate_at_zero() <= lambda) return 0.0;
-  return (std::sqrt(m.a * m.b / lambda) - m.b) / m.c;
-}
 
 /// The water-filling core: λ-bisection over composed Möbius maps (the
 /// all-CPMM, edge-disjoint case of optimal_route_split).
@@ -40,8 +31,11 @@ Result<RouteSplit> water_filling_split(
     return split;
   }
 
-  // Σ_p d_p(λ) is continuous and strictly decreasing on (0, best_rate],
-  // from +∞ to 0; bisect for the λ matching the budget. The halving
+  // Path p's input at common marginal rate λ is its Möbius map's
+  // optimum against λ, d_p(λ) = argmax G_p(d) − λ·d (0 once its zero-size
+  // rate is below λ). Σ_p d_p(λ) is continuous and strictly decreasing
+  // on (0, best_rate], from +∞ to 0; bisect for the λ matching the
+  // budget. The halving
   // search maintains total(hi) < budget ≤ total(lo), so the bracket is
   // [λ, 2λ] and a tolerance *relative to lo* resolves λ to the same
   // relative precision at every budget scale (the old absolute-on-λ
@@ -49,7 +43,7 @@ Result<RouteSplit> water_filling_split(
   // is many orders below the zero-size rate).
   const auto total_input_minus_budget = [&](double lambda) {
     double total = 0.0;
-    for (const auto& m : maps) total += input_at_rate(m, lambda);
+    for (const auto& m : maps) total += m.optimal_input(lambda);
     return total - budget;
   };
   double hi = best_zero_rate;
@@ -71,7 +65,7 @@ Result<RouteSplit> water_filling_split(
   split.iterations = root->iterations;
   double allocated = 0.0;
   for (std::size_t p = 0; p < maps.size(); ++p) {
-    split.inputs[p] = input_at_rate(maps[p], split.marginal_rate);
+    split.inputs[p] = maps[p].optimal_input(split.marginal_rate);
     allocated += split.inputs[p];
   }
   // Bisection leaves a residual vs the exact budget; scale it away so

@@ -18,41 +18,63 @@ Result<std::optional<Opportunity>> evaluate_opportunity(
   return evaluate_opportunity(graph, prices, loop, config, ctx);
 }
 
+Status check_loop_strategy(StrategyKind strategy) {
+  if (strategy == StrategyKind::kTraditional) {
+    return make_error(ErrorCode::kInvalidArgument,
+                      "Traditional needs a start token to price a loop");
+  }
+  return Status::success();
+}
+
+Result<PricedLoop> price_loop(const graph::TokenGraph& graph,
+                              const market::CexPriceFeed& prices,
+                              const graph::Cycle& loop, StrategyKind strategy,
+                              ConvexContext& ctx) {
+  if (Status valid = check_loop_strategy(strategy); !valid) {
+    return valid.error();
+  }
+  PricedLoop priced;
+  if (strategy == StrategyKind::kConvexOptimization) {
+    auto solution = solve_convex(graph, prices, loop, ConvexOptions{}, ctx);
+    if (!solution) return solution.error();
+    auto plan = plan_from_convex(graph, loop, *solution);
+    if (!plan) return plan.error();
+    priced.outcome = std::move(solution->outcome);
+    priced.plan = *std::move(plan);
+    priced.rotations = std::move(solution->rotations);
+    return priced;
+  }
+  auto rotations = evaluate_all_rotations(graph, prices, loop);
+  if (!rotations) return rotations.error();
+  priced.rotations = *std::move(rotations);
+  if (strategy == StrategyKind::kMaxPrice) {
+    auto outcome = max_price_of(priced.rotations, prices);
+    if (!outcome) return outcome.error();
+    priced.outcome = *std::move(outcome);
+  } else {
+    priced.outcome = max_max_of(priced.rotations);
+  }
+  auto plan = plan_from_single_start(graph, loop, priced.outcome);
+  if (!plan) return plan.error();
+  priced.plan = *std::move(plan);
+  return priced;
+}
+
 Result<std::optional<Opportunity>> evaluate_opportunity(
     const graph::TokenGraph& graph, const market::CexPriceFeed& prices,
     const graph::Cycle& loop, const ScannerConfig& config,
     ConvexContext& ctx) {
+  // Warm-starting is opt-in via the config flag; a caller-provided warm
+  // slot is ignored (not cleared) when the flag is off.
+  optim::WarmStart* warm = ctx.warm;
+  if (!config.convex_warm_start) ctx.warm = nullptr;
+  auto priced = price_loop(graph, prices, loop, config.strategy, ctx);
+  ctx.warm = warm;
+  if (!priced) return priced.error();
+
   Opportunity opportunity(loop);
-  std::vector<StrategyOutcome> rotations;
-
-  if (config.strategy == StrategyKind::kConvexOptimization) {
-    // Warm-starting is opt-in via the config flag; a caller-provided warm
-    // slot is ignored (not cleared) when the flag is off.
-    optim::WarmStart* warm = ctx.warm;
-    if (!config.convex_warm_start) ctx.warm = nullptr;
-    auto solution = solve_convex(graph, prices, loop, ConvexOptions{}, ctx);
-    ctx.warm = warm;
-    if (!solution) return solution.error();
-    opportunity.outcome = solution->outcome;
-    auto plan = plan_from_convex(graph, loop, *solution);
-    if (!plan) return plan.error();
-    opportunity.plan = *std::move(plan);
-  } else {
-    auto solved = evaluate_all_rotations(graph, prices, loop);
-    if (!solved) return solved.error();
-    rotations = *std::move(solved);
-    if (config.strategy == StrategyKind::kMaxPrice) {
-      auto outcome = max_price_of(rotations, prices);
-      if (!outcome) return outcome.error();
-      opportunity.outcome = *std::move(outcome);
-    } else {
-      opportunity.outcome = max_max_of(rotations);
-    }
-    auto plan = plan_from_single_start(graph, loop, opportunity.outcome);
-    if (!plan) return plan.error();
-    opportunity.plan = *std::move(plan);
-  }
-
+  opportunity.outcome = std::move(priced->outcome);
+  opportunity.plan = std::move(priced->plan);
   opportunity.net_profit_usd = opportunity.outcome.monetized_usd;
   if (config.gas.has_value()) {
     opportunity.net_profit_usd =
@@ -62,6 +84,8 @@ Result<std::optional<Opportunity>> evaluate_opportunity(
     return std::optional<Opportunity>{};
   }
 
+  // A Convex loop the price-product gate answered has no table yet.
+  std::vector<StrategyOutcome>& rotations = priced->rotations;
   if (rotations.empty()) {
     auto solved = evaluate_all_rotations(graph, prices, loop);
     if (!solved) return solved.error();
@@ -111,6 +135,9 @@ Result<std::vector<Opportunity>> scan_market(
   if (config.loop_lengths.empty()) {
     return make_error(ErrorCode::kInvalidArgument,
                       "scanner needs at least one loop length");
+  }
+  if (Status valid = check_loop_strategy(config.strategy); !valid) {
+    return valid.error();
   }
   std::vector<Opportunity> opportunities;
   for (const std::size_t length : config.loop_lengths) {

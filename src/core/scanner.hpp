@@ -51,13 +51,37 @@ struct Opportunity {
   explicit Opportunity(graph::Cycle c) : cycle(std::move(c)) {}
 };
 
-/// Prices one loop under the scanner config: runs the configured
-/// strategy, nets gas, builds the plan and diagnostics. Returns an empty
-/// optional when the loop does not clear min_net_profit_usd. Each of the
-/// loop's rotations is solved once (MaxPrice/MaxMax pick from them and
-/// the diagnostics read them; under Convex only loops that clear the
-/// threshold solve them). Exposed so the streaming runtime re-prices
-/// dirty loops through exactly the same code path as a full scan.
+/// One loop priced under one strategy.
+struct PricedLoop {
+  StrategyOutcome outcome;
+  ArbitragePlan plan;
+  /// The loop's rotations off its segment table (ConvexSolution::rotations
+  /// under Convex, so empty when the price-product gate answered).
+  std::vector<StrategyOutcome> rotations;
+};
+
+/// The strategies a loop can be priced under: every one but
+/// kTraditional, which names no start token (kInvalidArgument). Every
+/// entry point that takes a strategy in its config checks it up front,
+/// so the config is rejected even when no loop gets priced.
+[[nodiscard]] Status check_loop_strategy(StrategyKind strategy);
+
+/// The one strategy dispatch: the scanner and every sim loop call it.
+/// Convex: solve_convex (ctx as given) and plan_from_convex. MaxPrice /
+/// MaxMax: the pick among the rotations and plan_from_single_start.
+/// Fails as check_loop_strategy does on kTraditional.
+[[nodiscard]] Result<PricedLoop> price_loop(const graph::TokenGraph& graph,
+                                            const market::CexPriceFeed& prices,
+                                            const graph::Cycle& loop,
+                                            StrategyKind strategy,
+                                            ConvexContext& ctx);
+
+/// Prices one loop under the scanner config: price_loop, then gas
+/// netting, the threshold and the diagnostics. Returns an empty optional
+/// when the loop does not clear min_net_profit_usd. The diagnostics read
+/// the rotations price_loop returns, so each is solved once per loop.
+/// Exposed so the streaming runtime re-prices dirty loops through exactly
+/// the same code path as a full scan.
 [[nodiscard]] Result<std::optional<Opportunity>> evaluate_opportunity(
     const graph::TokenGraph& graph, const market::CexPriceFeed& prices,
     const graph::Cycle& loop, const ScannerConfig& config);

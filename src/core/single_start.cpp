@@ -1,71 +1,66 @@
 #include "core/single_start.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <utility>
 
-#include "amm/generic_path.hpp"
-#include "amm/path.hpp"
 #include "common/error.hpp"
+#include "core/loop_nlp.hpp"
 
 namespace arb::core {
+namespace {
+
+/// Rotation s read off the table, monetized at the start token's price:
+/// P_s·(output − input), as the single-start strategies always have.
+Result<StrategyOutcome> rotation_outcome(SegmentTable& table, std::size_t s) {
+  const LoopHopData& first = table.hops()[s];
+  // Containment: corrupted reserves can drive the closed form or the
+  // Newton solve to a non-finite optimum; surface a typed error instead
+  // of emitting an Opportunity whose profit silently poisons the ranking.
+  const Segment* trade = table.degenerate() ? nullptr : &table.rotation(s);
+  if (trade == nullptr || table.broken()) {
+    return make_error(ErrorCode::kNumericFailure,
+                      "no finite optimal trade from token " +
+                          to_string(first.token_in));
+  }
+  StrategyOutcome outcome;
+  outcome.kind = StrategyKind::kTraditional;
+  outcome.start_token = first.token_in;
+  outcome.input = trade->input;
+  outcome.output = trade->output;
+  const double profit = trade->output - trade->input;
+  outcome.profits = {TokenProfit{first.token_in, profit}};
+  outcome.monetized_usd = first.price_in * profit;
+  return outcome;
+}
+
+}  // namespace
+
+Result<std::vector<StrategyOutcome>> rotation_outcomes(SegmentTable& table) {
+  std::vector<StrategyOutcome> outcomes;
+  outcomes.reserve(table.size());
+  for (std::size_t s = 0; s < table.size(); ++s) {
+    auto outcome = rotation_outcome(table, s);
+    if (!outcome) return outcome.error();
+    outcomes.push_back(*std::move(outcome));
+  }
+  return outcomes;
+}
 
 Result<StrategyOutcome> evaluate_traditional(
     const graph::TokenGraph& graph, const market::CexPriceFeed& prices,
     const graph::Cycle& cycle, std::size_t start_offset) {
-  const std::size_t n = cycle.length();
-  const TokenId start = cycle.tokens()[start_offset % n];
-  auto price = prices.price(start);
-  if (!price) return price.error();
-
-  amm::OptimalTrade trade;
-  if (cycle.all_cpmm(graph)) {
-    // All-CPMM: the exact Möbius closed form.
-    trade = amm::optimize_input_analytic(cycle.path(graph, start_offset % n));
-  } else {
-    // Mixed venues: derivative-free optimizer over black-box hops,
-    // bracket search seeded at a fraction of the start-side depth.
-    amm::GenericOptimizeOptions generic;
-    generic.initial_scale = std::max(
-        generic.initial_scale,
-        1e-3 * graph.pool(cycle.pools()[start_offset % n]).reserve_of(start));
-    auto solved = amm::optimize_input_generic(
-        cycle.generic_path(graph, start_offset % n), generic);
-    if (!solved) return solved.error();
-    trade = *solved;
-  }
-
-  // Containment: corrupted reserves can drive the Möbius algebra or the
-  // bracket search to NaN; surface a typed error instead of emitting an
-  // Opportunity whose profit silently poisons the ranking.
-  if (!std::isfinite(trade.input) || !std::isfinite(trade.output) ||
-      !std::isfinite(trade.profit)) {
-    return make_error(ErrorCode::kNumericFailure,
-                      "non-finite optimal trade on loop " +
-                          cycle.rotation_key());
-  }
-
-  StrategyOutcome outcome;
-  outcome.kind = StrategyKind::kTraditional;
-  outcome.start_token = start;
-  outcome.input = trade.input;
-  outcome.output = trade.output;
-  outcome.profits = {TokenProfit{start, trade.profit}};
-  outcome.monetized_usd = *price * trade.profit;
-  outcome.solver_iterations = trade.iterations;
-  return outcome;
+  auto hops = make_hop_data(graph, prices, cycle);
+  if (!hops) return hops.error();
+  SegmentTable table(*std::move(hops));
+  return rotation_outcome(table, start_offset % cycle.length());
 }
 
 Result<std::vector<StrategyOutcome>> evaluate_all_rotations(
     const graph::TokenGraph& graph, const market::CexPriceFeed& prices,
     const graph::Cycle& cycle) {
-  std::vector<StrategyOutcome> outcomes;
-  outcomes.reserve(cycle.length());
-  for (std::size_t offset = 0; offset < cycle.length(); ++offset) {
-    auto outcome = evaluate_traditional(graph, prices, cycle, offset);
-    if (!outcome) return outcome.error();
-    outcomes.push_back(*std::move(outcome));
-  }
-  return outcomes;
+  auto hops = make_hop_data(graph, prices, cycle);
+  if (!hops) return hops.error();
+  SegmentTable table(*std::move(hops));
+  return rotation_outcomes(table);
 }
 
 Result<StrategyOutcome> max_price_of(

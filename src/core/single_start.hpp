@@ -4,12 +4,16 @@
 /// The Traditional, MaxPrice and MaxMax strategies (Section III of the
 /// paper). All three reduce to "optimize the single input amount on a
 /// rotation of the loop"; they differ only in which rotation they pick.
-/// evaluate_all_rotations solves each rotation once; MaxPrice and MaxMax
-/// are selections from its results.
+/// Rotation s is the singleton segment (s, n) of the loop's segment table
+/// (core/active_set.hpp), the table the Convex active set reads: Möbius
+/// closed form on CPMM and concentrated hops (range cap mapped back),
+/// safeguarded Newton across a StableSwap hop. MaxPrice and MaxMax are
+/// selections from the rotations.
 
 #include <vector>
 
 #include "common/result.hpp"
+#include "core/active_set.hpp"
 #include "graph/cycle.hpp"
 #include "graph/token_graph.hpp"
 #include "market/price_feed.hpp"
@@ -17,17 +21,23 @@
 
 namespace arb::core {
 
+/// The table's n rotations as single-start outcomes, in rotation order:
+/// segment (s, n)'s input and output, monetized at P_s. Fails with
+/// kNumericFailure on a degenerate table or a non-finite optimum.
+[[nodiscard]] Result<std::vector<StrategyOutcome>> rotation_outcomes(
+    SegmentTable& table);
+
 /// Traditional strategy: fix the walk to start at tokens()[start_offset]
 /// and maximize (output − input); monetize with the start token's CEX
-/// price. All-CPMM loops take the closed-form Möbius optimum, mixed loops
-/// the bracket search over the pools' own quotes. Fails with kNotFound if
-/// that price is missing.
+/// price. Only that rotation is solved, but the loop's kernels carry
+/// every token's price: fails with kNotFound when any is missing.
 [[nodiscard]] Result<StrategyOutcome> evaluate_traditional(
     const graph::TokenGraph& graph, const market::CexPriceFeed& prices,
     const graph::Cycle& cycle, std::size_t start_offset);
 
-/// All n traditional outcomes (one per rotation), in rotation order.
-/// MaxPrice and MaxMax select from them; exposed for Figs. 2 and 5.
+/// All n traditional outcomes (one per rotation), in rotation order, read
+/// off one segment table. MaxPrice and MaxMax select from them; exposed
+/// for Figs. 2 and 5.
 [[nodiscard]] Result<std::vector<StrategyOutcome>> evaluate_all_rotations(
     const graph::TokenGraph& graph, const market::CexPriceFeed& prices,
     const graph::Cycle& cycle);

@@ -108,17 +108,6 @@ amm::PoolPath Cycle::path(const TokenGraph& graph, std::size_t offset) const {
   return *std::move(path);
 }
 
-amm::GenericPath Cycle::generic_path(const TokenGraph& graph,
-                                     std::size_t offset) const {
-  const Cycle r = rotated(offset);
-  std::vector<amm::SwapFn> hops;
-  hops.reserve(r.length());
-  for (std::size_t i = 0; i < r.length(); ++i) {
-    hops.push_back(amm::swap_fn(graph.pool(r.pools_[i]), r.tokens_[i]));
-  }
-  return amm::GenericPath(std::move(hops));
-}
-
 double Cycle::price_product(const TokenGraph& graph) const {
   double product = 1.0;
   const std::size_t n = tokens_.size();

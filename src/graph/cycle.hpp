@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "amm/generic_path.hpp"
 #include "amm/path.hpp"
 #include "common/result.hpp"
 #include "common/types.hpp"
@@ -40,9 +39,8 @@ class Cycle {
   /// Canonical key identifying the cycle up to rotation AND reflection.
   [[nodiscard]] std::string loop_key() const;
 
-  /// True iff every pool of this loop is constant-product. Gates the
-  /// Möbius/closed-form fast paths; mixed loops go through the generic
-  /// (derivative-free) machinery instead.
+  /// True iff every pool of this loop is constant-product (path() is
+  /// defined only then; reports and differentials split loops by it).
   [[nodiscard]] bool all_cpmm(const TokenGraph& graph) const;
 
   /// Builds the swap path starting the walk at tokens()[offset].
@@ -50,11 +48,6 @@ class Cycle {
   /// constant-product-only.
   [[nodiscard]] amm::PoolPath path(const TokenGraph& graph,
                                    std::size_t offset = 0) const;
-
-  /// Builds the curve-agnostic swap chain starting at tokens()[offset].
-  /// Works for any pool mix (each hop snapshots its pool's state).
-  [[nodiscard]] amm::GenericPath generic_path(const TokenGraph& graph,
-                                              std::size_t offset = 0) const;
 
   /// Product of relative prices around the cycle; > 1 ⇔ profitable
   /// orientation (the paper's detection condition).

@@ -47,16 +47,6 @@ Matrix Matrix::diagonal(const Vector& d) {
   return m;
 }
 
-double& Matrix::operator()(std::size_t r, std::size_t c) {
-  ARB_REQUIRE(r < rows_ && c < cols_, "Matrix index out of range");
-  return data_[r * cols_ + c];
-}
-
-double Matrix::operator()(std::size_t r, std::size_t c) const {
-  ARB_REQUIRE(r < rows_ && c < cols_, "Matrix index out of range");
-  return data_[r * cols_ + c];
-}
-
 Matrix& Matrix::operator+=(const Matrix& rhs) {
   ARB_REQUIRE(rows_ == rhs.rows_ && cols_ == rhs.cols_,
               "Matrix shape mismatch in +=");

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "math/alloc_stats.hpp"
 #include "math/vector.hpp"
 
@@ -46,8 +47,15 @@ class Matrix {
   void fill(double value);
   void set_zero() { fill(0.0); }
 
-  [[nodiscard]] double& operator()(std::size_t r, std::size_t c);
-  [[nodiscard]] double operator()(std::size_t r, std::size_t c) const;
+  /// Bounds-checked, and inline for the same reason as Vector's.
+  [[nodiscard]] double& operator()(std::size_t r, std::size_t c) {
+    ARB_REQUIRE(r < rows_ && c < cols_, "Matrix index out of range");
+    return data_[r * cols_ + c];
+  }
+  [[nodiscard]] double operator()(std::size_t r, std::size_t c) const {
+    ARB_REQUIRE(r < rows_ && c < cols_, "Matrix index out of range");
+    return data_[r * cols_ + c];
+  }
 
   Matrix& operator+=(const Matrix& rhs);
   Matrix& operator*=(double scalar);

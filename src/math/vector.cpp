@@ -16,16 +16,6 @@ void Vector::fill(double value) {
   for (double& x : data_) x = value;
 }
 
-double& Vector::operator[](std::size_t i) {
-  ARB_REQUIRE(i < data_.size(), "Vector index out of range");
-  return data_[i];
-}
-
-double Vector::operator[](std::size_t i) const {
-  ARB_REQUIRE(i < data_.size(), "Vector index out of range");
-  return data_[i];
-}
-
 Vector& Vector::operator+=(const Vector& rhs) {
   ARB_REQUIRE(size() == rhs.size(), "Vector size mismatch in +=");
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += rhs.data_[i];

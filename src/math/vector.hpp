@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "math/alloc_stats.hpp"
 
 namespace arb::math {
@@ -48,8 +49,16 @@ class Vector {
   void fill(double value);
   void set_zero() { fill(0.0); }
 
-  [[nodiscard]] double& operator[](std::size_t i);
-  [[nodiscard]] double operator[](std::size_t i) const;
+  /// Bounds-checked, and inline: the barrier's inner loops index through
+  /// it element by element, and a call per element doubled route times.
+  [[nodiscard]] double& operator[](std::size_t i) {
+    ARB_REQUIRE(i < data_.size(), "Vector index out of range");
+    return data_[i];
+  }
+  [[nodiscard]] double operator[](std::size_t i) const {
+    ARB_REQUIRE(i < data_.size(), "Vector index out of range");
+    return data_[i];
+  }
 
   [[nodiscard]] const Buffer& data() const { return data_; }
 

@@ -55,6 +55,9 @@ IncrementalScanner::IncrementalScanner(market::MarketSnapshot snapshot,
 Result<IncrementalScanner> IncrementalScanner::create(
     market::MarketSnapshot snapshot, core::ScannerConfig config,
     WorkerPool* workers, std::size_t shards) {
+  if (Status valid = core::check_loop_strategy(config.strategy); !valid) {
+    return valid.error();
+  }
   auto index = PoolCycleIndex::build(snapshot.graph, config.loop_lengths);
   if (!index) return index.error();
   auto plan = ShardPlan::build(*index, shards);

@@ -3,7 +3,7 @@
 #include <optional>
 
 #include "common/error.hpp"
-#include "core/plan.hpp"
+#include "core/scanner.hpp"
 #include "graph/cycle_enumeration.hpp"
 #include "sim/engine.hpp"
 
@@ -21,30 +21,15 @@ Result<std::optional<Bid>> best_bid(const market::MarketSnapshot& market,
                                     const std::vector<graph::Cycle>& loops,
                                     const BotSpec& bot) {
   std::optional<Bid> best;
+  core::ConvexContext ctx;
   for (const graph::Cycle& loop : loops) {
-    Bid bid;
-    if (bot.strategy == core::StrategyKind::kConvexOptimization) {
-      auto solution = core::solve_convex(market.graph, market.prices, loop);
-      if (!solution) return solution.error();
-      if (solution->outcome.monetized_usd <= 0.0) continue;
-      bid.planned_usd = solution->outcome.monetized_usd;
-      auto plan = core::plan_from_convex(market.graph, loop, *solution);
-      if (!plan) return plan.error();
-      bid.plan = *std::move(plan);
-    } else {
-      auto outcome =
-          bot.strategy == core::StrategyKind::kMaxPrice
-              ? core::evaluate_max_price(market.graph, market.prices, loop)
-              : core::evaluate_max_max(market.graph, market.prices, loop);
-      if (!outcome) return outcome.error();
-      if (outcome->monetized_usd <= 0.0) continue;
-      bid.planned_usd = outcome->monetized_usd;
-      auto plan = core::plan_from_single_start(market.graph, loop, *outcome);
-      if (!plan) return plan.error();
-      bid.plan = *std::move(plan);
-    }
-    if (!best || bid.planned_usd > best->planned_usd) {
-      best = std::move(bid);
+    auto priced =
+        core::price_loop(market.graph, market.prices, loop, bot.strategy, ctx);
+    if (!priced) return priced.error();
+    const double planned_usd = priced->outcome.monetized_usd;
+    if (planned_usd <= 0.0) continue;
+    if (!best || planned_usd > best->planned_usd) {
+      best = Bid{planned_usd, std::move(priced->plan)};
     }
   }
   return best;
@@ -61,16 +46,18 @@ Result<CompetitionResult> run_competition(
   if (config.blocks == 0) {
     return make_error(ErrorCode::kInvalidArgument, "zero blocks");
   }
+  CompetitionResult result;
+  result.standings.reserve(bots.size());
+  for (const BotSpec& bot : bots) {
+    if (Status valid = core::check_loop_strategy(bot.strategy); !valid) {
+      return valid.error();
+    }
+    result.standings.push_back(BotStanding{bot.name, 0, 0.0});
+  }
 
   market::MarketSnapshot market = snapshot;
   market::PriceProcess process(market, config.dynamics, config.seed);
   const ExecutionEngine engine;
-
-  CompetitionResult result;
-  result.standings.reserve(bots.size());
-  for (const BotSpec& bot : bots) {
-    result.standings.push_back(BotStanding{bot.name, 0, 0.0});
-  }
 
   for (std::size_t block = 0; block < config.blocks; ++block) {
     process.step(market);

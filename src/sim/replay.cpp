@@ -5,7 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
-#include "core/plan.hpp"
+#include "core/scanner.hpp"
 #include "graph/cycle_enumeration.hpp"
 
 namespace arb::sim {
@@ -52,6 +52,9 @@ double shocked_price(const amm::AnyPool& pool, double shock) {
 
 Result<ReplayResult> run_replay(const market::MarketSnapshot& snapshot,
                                 const ReplayConfig& config) {
+  if (Status valid = core::check_loop_strategy(config.strategy); !valid) {
+    return valid.error();
+  }
   market::MarketSnapshot market = snapshot;  // working copy
   Rng rng(config.seed);
   std::optional<market::PriceProcess> process;
@@ -59,6 +62,7 @@ Result<ReplayResult> run_replay(const market::MarketSnapshot& snapshot,
     process.emplace(market, config.price_process, config.seed);
   }
   const ExecutionEngine engine;
+  core::ConvexContext ctx;
   ReplayResult result;
 
   for (std::size_t block = 0; block < config.blocks; ++block) {
@@ -80,27 +84,12 @@ Result<ReplayResult> run_replay(const market::MarketSnapshot& snapshot,
     double best_usd = 0.0;
     std::optional<core::ArbitragePlan> best_plan;
     for (const graph::Cycle& loop : loops) {
-      Result<core::ArbitragePlan> plan =
-          make_error(ErrorCode::kNotFound, "unset");
-      double planned_usd = 0.0;
-      if (config.strategy == core::StrategyKind::kConvexOptimization) {
-        auto solution = core::solve_convex(market.graph, market.prices, loop);
-        if (!solution) return solution.error();
-        planned_usd = solution->outcome.monetized_usd;
-        plan = core::plan_from_convex(market.graph, loop, *solution);
-      } else {
-        Result<core::StrategyOutcome> outcome =
-            config.strategy == core::StrategyKind::kMaxPrice
-                ? core::evaluate_max_price(market.graph, market.prices, loop)
-                : core::evaluate_max_max(market.graph, market.prices, loop);
-        if (!outcome) return outcome.error();
-        planned_usd = outcome->monetized_usd;
-        plan = core::plan_from_single_start(market.graph, loop, *outcome);
-      }
-      if (!plan) return plan.error();
-      if (planned_usd > best_usd) {
-        best_usd = planned_usd;
-        best_plan = *std::move(plan);
+      auto priced = core::price_loop(market.graph, market.prices, loop,
+                                     config.strategy, ctx);
+      if (!priced) return priced.error();
+      if (priced->outcome.monetized_usd > best_usd) {
+        best_usd = priced->outcome.monetized_usd;
+        best_plan = std::move(priced->plan);
       }
     }
 

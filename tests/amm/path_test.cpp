@@ -55,6 +55,23 @@ TEST(MobiusTest, OptimalInputStationary) {
   EXPECT_NEAR(m.derivative(d_star), 1.0, 1e-9);
 }
 
+TEST(MobiusTest, OptimalInputAgainstARate) {
+  // argmax G(Δ) − λ·Δ sits where G'(Δ) = λ; λ = 1 is the loop optimum,
+  // the map never pays a rate at or above a/b, and NaN coefficients come
+  // back as NaN rather than as the zero trade.
+  const Fixture f;
+  const auto m = f.loop_from_x().compose();
+  EXPECT_EQ(m.optimal_input(1.0), m.optimal_input());
+  for (const double lambda : {0.25, 1.0, 1.5, 2.0}) {
+    const double d_star = m.optimal_input(lambda);
+    ASSERT_GT(d_star, 0.0) << lambda;
+    EXPECT_NEAR(m.derivative(d_star), lambda, 1e-9 * lambda);
+  }
+  EXPECT_EQ(m.optimal_input(m.rate_at_zero()), 0.0);
+  const MobiusCoefficients poisoned{std::nan(""), 1.0, 1.0};
+  EXPECT_TRUE(std::isnan(poisoned.optimal_input()));
+}
+
 TEST(MobiusTest, UnprofitableMapHasZeroOptimum) {
   // Single pool: a = γ·y·1, b = x. With γy < x the rate at zero < 1.
   const auto m = MobiusCoefficients::identity().then_hop(200.0, 100.0, 0.997);

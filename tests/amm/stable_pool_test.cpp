@@ -108,6 +108,26 @@ TEST(StablePoolTest, SpotRateNearOneAtBalance) {
   EXPECT_NEAR(pool.spot_rate(kUsdc), 1.0, 1e-3);
 }
 
+TEST(StablePoolTest, SpotRateIsTheCurveDerivative) {
+  // The spot rate feeds every price-product gate through
+  // relative_price_of: it must be the exact −γ·Y'(x₀), not a finite
+  // difference of quotes (which was off by 4.9e-8 on the deep pool).
+  const StablePool pools[] = {
+      StablePool(PoolId{0}, kUsdc, kUsdt, 1e10, 1.02e10, 200.0, 0.0004),
+      StablePool(PoolId{1}, kUsdc, kUsdt, 1'500'000.0, 500'000.0, 100.0,
+                 0.0004),
+      StablePool(PoolId{2}, kUsdc, kUsdt, 3'000.0, 2'000.0, 20.0, 0.001)};
+  for (const StablePool& pool : pools) {
+    const StableCurve curve = pool.curve();
+    const double gamma = 1.0 - pool.fee();
+    for (const TokenId token : {kUsdc, kUsdt}) {
+      const double exact = -gamma * curve.dy_dx(pool.reserve_of(token));
+      EXPECT_NEAR(pool.spot_rate(token), exact, 1e-12 * exact)
+          << pool.to_string();
+    }
+  }
+}
+
 TEST(StablePoolTest, ImbalancedPoolPricesTheScarceSideHigher) {
   const StablePool pool(PoolId{0}, kUsdc, kUsdt, 1'500'000.0, 500'000.0,
                         100.0, 0.0);

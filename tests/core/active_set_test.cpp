@@ -55,7 +55,8 @@ TEST(ActiveSetTest, RetainingBothTokensSetsEachHopAtItsFirstOrderCondition) {
   const auto loop = *graph::Cycle::create(graph, {a, b}, {p0, p1});
   const auto hops = make_hop_data(graph, prices, loop).value();
 
-  const auto solution = solve_active_set(hops);
+  SegmentTable table(hops);
+  const auto solution = solve_active_set(table);
   ASSERT_TRUE(solution.has_value());
   EXPECT_EQ(solution->retaining, 3u);
   for (std::size_t i = 0; i < 2; ++i) {
@@ -74,7 +75,8 @@ TEST(ActiveSetTest, LosingHopTradesNothingOnItsOwn) {
   const auto hops = make_hop_data(m.graph, m.prices, m.loop()).value();
   ASSERT_LT(hops[1].price_out * hops[1].swap_deriv(0.0), hops[1].price_in);
 
-  const auto solution = solve_active_set(hops);
+  SegmentTable table(hops);
+  const auto solution = solve_active_set(table);
   ASSERT_TRUE(solution.has_value());
   EXPECT_TRUE(solution->retaining == 1u || solution->retaining == 2u)
       << solution->retaining;
@@ -102,7 +104,8 @@ TEST(ActiveSetTest, GoldenSymmetricLoop) {
 
   auto hops = make_hop_data(graph, prices, loop);
   ASSERT_TRUE(hops.ok());
-  const auto solution = solve_active_set(*hops, &graph);
+  SegmentTable table(*hops);
+  const auto solution = solve_active_set(table, &graph);
   ASSERT_TRUE(solution.has_value());
   EXPECT_EQ(solution->retaining, 3u);
   EXPECT_FALSE(solution->certified);
@@ -158,15 +161,20 @@ TEST(ActiveSetTest, RejectsDegenerateAndTooShortInputs) {
   ASSERT_TRUE(hops.ok());
 
   const std::vector<LoopHopData> one = {(*hops)[0]};
-  EXPECT_FALSE(solve_active_set(one).has_value());
+  SegmentTable one_table(one);
+  EXPECT_TRUE(one_table.degenerate());
+  EXPECT_FALSE(solve_active_set(one_table).has_value());
 
-  auto degenerate = *hops;
-  degenerate[0].reserve_in = 0.0;
-  EXPECT_FALSE(solve_active_set(degenerate).has_value());
-  degenerate = *hops;
-  degenerate[1].gamma = std::nan("");
-  EXPECT_FALSE(solve_active_set(degenerate).has_value());
-  EXPECT_FALSE(enumerate_active_set(degenerate).has_value());
+  auto empty_reserve = *hops;
+  empty_reserve[0].reserve_in = 0.0;
+  SegmentTable empty_table(empty_reserve);
+  EXPECT_FALSE(solve_active_set(empty_table).has_value());
+  auto nan_fee = *hops;
+  nan_fee[1].gamma = std::nan("");
+  SegmentTable nan_table(nan_fee);
+  EXPECT_TRUE(nan_table.degenerate());
+  EXPECT_FALSE(solve_active_set(nan_table).has_value());
+  EXPECT_FALSE(enumerate_active_set(nan_table).has_value());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/single_start.hpp"
 #include "market/generator.hpp"
 #include "sim/engine.hpp"
 #include "tests/core/fixtures.hpp"
@@ -151,6 +152,55 @@ TEST(ScannerTest, ValidationRejectsBadConfig) {
   ScannerConfig bad_length;
   bad_length.loop_lengths = {1};
   EXPECT_FALSE(scan_market(m.graph, m.prices, bad_length).ok());
+}
+
+TEST(ScannerTest, TraditionalStrategyIsRejectedNotRunAsMaxMax) {
+  // Traditional fixes a start token the scanner has no way to name: it
+  // must be rejected, not run as MaxMax.
+  const Section5Market m;
+  ScannerConfig config;
+  config.loop_lengths = {3};
+  config.strategy = StrategyKind::kTraditional;
+  const auto scanned = scan_market(m.graph, m.prices, config);
+  ASSERT_FALSE(scanned.ok());
+  EXPECT_EQ(scanned.error().code, ErrorCode::kInvalidArgument);
+
+  // The config is rejected up front, not at the first priced loop: a
+  // market with no arbitrage loop does not let it through.
+  const NoArbMarket none;
+  const auto empty = scan_market(none.graph, none.prices, config);
+  ASSERT_FALSE(empty.ok());
+  EXPECT_EQ(empty.error().code, ErrorCode::kInvalidArgument);
+
+  ConvexContext ctx;
+  const auto priced = price_loop(m.graph, m.prices, m.loop(),
+                                 StrategyKind::kTraditional, ctx);
+  ASSERT_FALSE(priced.ok());
+  EXPECT_EQ(priced.error().code, ErrorCode::kInvalidArgument);
+}
+
+TEST(ScannerTest, PriceLoopReturnsTheRotationsOfEveryStrategy) {
+  // One table per loop: MaxPrice, MaxMax and Convex hand back the same
+  // rotations.
+  const Section5Market m;
+  const auto rotations =
+      evaluate_all_rotations(m.graph, m.prices, m.loop()).value();
+  for (const StrategyKind strategy :
+       {StrategyKind::kMaxPrice, StrategyKind::kMaxMax,
+        StrategyKind::kConvexOptimization}) {
+    ConvexContext ctx;
+    const auto priced =
+        price_loop(m.graph, m.prices, m.loop(), strategy, ctx).value();
+    EXPECT_EQ(priced.outcome.kind, strategy);
+    ASSERT_EQ(priced.rotations.size(), rotations.size());
+    for (std::size_t s = 0; s < rotations.size(); ++s) {
+      EXPECT_EQ(priced.rotations[s].start_token, rotations[s].start_token);
+      EXPECT_EQ(priced.rotations[s].input, rotations[s].input);
+      EXPECT_EQ(priced.rotations[s].monetized_usd,
+                rotations[s].monetized_usd);
+    }
+    EXPECT_EQ(priced.plan.steps.size(), 3u);
+  }
 }
 
 }  // namespace

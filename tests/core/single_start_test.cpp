@@ -77,6 +77,15 @@ TEST(TraditionalTest, MissingPriceFails) {
   auto outcome = evaluate_traditional(m.graph, partial, m.loop(), 1);
   ASSERT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.error().code, ErrorCode::kNotFound);
+
+  // The rotation is read off the loop's segment table, whose kernels
+  // carry every token's price: the start token's alone is not enough.
+  market::CexPriceFeed start_priced;
+  start_priced.set_price(m.y, 10.2);
+  start_priced.set_price(m.z, 20.0);  // x missing; the walk starts at y
+  outcome = evaluate_traditional(m.graph, start_priced, m.loop(), 1);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.error().code, ErrorCode::kNotFound);
 }
 
 TEST(TraditionalTest, NoArbLoopGivesZeroEverywhere) {

@@ -13,6 +13,14 @@
 //  3. Uncertified rings of 9 and 10 hops fall to the barrier rung, which
 //     agrees with the generic solver.
 //  4. Section V: $206.147128, retaining exactly {Y, Z}.
+//  5. An oracle for the single-start strategies independent of the
+//     segment table: every rotation of every ring in (1), and every
+//     MaxMax / MaxPrice opportunity of the 20%/20% mixed market, against
+//     the closed form over the CPMM PoolPath (bit-identical) or the
+//     bracket search over the pools' own quotes (1e-6·max(|a|, |b|, 1)
+//     USD). Convex opportunities' diagnostics read the table's rotations
+//     and must match the diagnostics of evaluate_all_rotations bit for
+//     bit, on the paper and mixed markets.
 
 #include <gtest/gtest.h>
 
@@ -23,14 +31,20 @@
 #include <string>
 #include <vector>
 
+#include "amm/any_pool.hpp"
+#include "amm/generic_path.hpp"
+#include "amm/path.hpp"
 #include "core/active_set.hpp"
+#include "core/analysis.hpp"
 #include "core/convex.hpp"
 #include "core/flow_nlp.hpp"
 #include "core/generic_convex.hpp"
 #include "core/loop_nlp.hpp"
+#include "core/scanner.hpp"
 #include "core/single_start.hpp"
 #include "graph/cycle.hpp"
 #include "graph/token_graph.hpp"
+#include "market/generator.hpp"
 #include "market/price_feed.hpp"
 #include "optim/workspace.hpp"
 #include "tests/core/fixtures.hpp"
@@ -232,6 +246,56 @@ double quote_depth_usd(const std::vector<core::LoopHopData>& hops) {
   return depth;
 }
 
+/// Rotation s sized by the references the segment table replaced: the
+/// Möbius closed form over the loop's CPMM PoolPath, or, with any other
+/// venue on the loop, the bracket search over the pools' own quotes,
+/// seeded at 1e-3 of the start pool's input-side balance.
+amm::OptimalTrade reference_rotation(const graph::TokenGraph& graph,
+                                     const graph::Cycle& loop, std::size_t s) {
+  if (loop.all_cpmm(graph)) {
+    return amm::optimize_input_analytic(loop.path(graph, s));
+  }
+  const graph::Cycle rotated = loop.rotated(s);
+  std::vector<amm::SwapFn> hops;
+  for (std::size_t i = 0; i < rotated.length(); ++i) {
+    hops.push_back(
+        amm::swap_fn(graph.pool(rotated.pools()[i]), rotated.tokens()[i]));
+  }
+  amm::GenericOptimizeOptions options;
+  options.initial_scale = std::max(
+      options.initial_scale,
+      1e-3 * graph.pool(rotated.pools()[0]).reserve_of(rotated.tokens()[0]));
+  auto trade = amm::optimize_input_generic(amm::GenericPath(std::move(hops)),
+                                           options);
+  if (!trade) {
+    ADD_FAILURE() << "bracket search: " << trade.error().message;
+    return amm::OptimalTrade{};
+  }
+  return *trade;
+}
+
+/// A single-start outcome against rotation s's reference: the closed form
+/// to the bit on all-CPMM loops, the bracket search within
+/// 1e-6·max(|a|, |b|, 1) USD otherwise.
+void expect_matches_reference(const graph::TokenGraph& graph,
+                              const market::CexPriceFeed& prices,
+                              const graph::Cycle& loop, std::size_t s,
+                              const core::StrategyOutcome& outcome) {
+  SCOPED_TRACE("rotation " + std::to_string(s));
+  ASSERT_EQ(outcome.start_token, loop.tokens()[s]);
+  const amm::OptimalTrade reference = reference_rotation(graph, loop, s);
+  const double price = prices.price(loop.tokens()[s]).value();
+  if (loop.all_cpmm(graph)) {
+    EXPECT_EQ(outcome.input, reference.input);
+    EXPECT_EQ(outcome.output, reference.output);
+    EXPECT_EQ(outcome.monetized_usd, price * reference.profit);
+  } else {
+    EXPECT_TRUE(agree(outcome.monetized_usd, price * reference.profit))
+        << "table " << outcome.monetized_usd << " vs bracket search "
+        << price * reference.profit;
+  }
+}
+
 TEST(ActiveSetDifferentialTest, AgreesWithBarrierMaxMaxAndEnumeration) {
   std::mt19937_64 rng(20260901);
   const int loops = 2100 * trial_multiplier();
@@ -273,10 +337,11 @@ TEST(ActiveSetDifferentialTest, AgreesWithBarrierMaxMaxAndEnumeration) {
         << "active set " << convex << " vs barrier " << barrier->objective;
 
     // MaxMax is a feasible point of eq. (8), so Convex ≥ MaxMax. Both
-    // are read off the pools' quotes, which resolve an amount only to
-    // ~1e-12 of the pool's balances (the StableSwap balance solve
-    // converges to 1e-12 relative; the concentrated quote subtracts
-    // square roots of the virtual price), so the comparison is 1e-12
+    // read the same segment table (this holds by construction; the
+    // reference pins below are the independent check), but Convex's
+    // outputs are the pools' own quotes, and the concentrated quote
+    // subtracts square roots of the virtual price, resolving an amount
+    // only to ~1e-12 of the pool's balances: the comparison is 1e-12
     // relative to the USD depth the loop's quotes are taken against.
     const auto max_max =
         core::evaluate_max_max(ring.graph, ring.prices, loop);
@@ -288,10 +353,19 @@ TEST(ActiveSetDifferentialTest, AgreesWithBarrierMaxMaxAndEnumeration) {
                   1e-12 * std::max(std::abs(convex), quote_depth_usd(*hops)))
         << "MaxMax " << max_max->monetized_usd;
 
+    // The rotations the Convex solve read off its table are the
+    // single-start trades; pin each one against its reference.
+    ASSERT_EQ(exact->rotations.size(), n);
+    for (std::size_t s = 0; s < n; ++s) {
+      expect_matches_reference(ring.graph, ring.prices, loop, s,
+                               exact->rotations[s]);
+    }
+
     // A certified loop: enumerating every retaining set finds nothing
     // better than the certified MaxMax trade.
     if (ctx.certified) {
-      const auto full = core::enumerate_active_set(*hops, &ring.graph);
+      core::SegmentTable table(*hops);
+      const auto full = core::enumerate_active_set(table, &ring.graph);
       ASSERT_TRUE(full.has_value());
       EXPECT_LE(full->profit_usd,
                 convex + 1e-12 * std::max(std::abs(convex), 1.0))
@@ -325,7 +399,8 @@ TEST(ActiveSetDifferentialTest, PinnedConcentratedHopGivesZeroSegment) {
     if (k == n) continue;
     ++pinned;
     (*hops)[k].input_cap = 0.0;
-    const auto solved = core::solve_active_set(*hops);
+    core::SegmentTable table(*hops);
+    const auto solved = core::solve_active_set(table);
     ASSERT_TRUE(solved.has_value()) << "trial " << trial;
     EXPECT_EQ(solved->inputs[k], 0.0) << "trial " << trial;
     EXPECT_EQ(solved->outputs[k], 0.0) << "trial " << trial;
@@ -354,9 +429,9 @@ TEST(ActiveSetDifferentialTest, UncertifiedLongLoopsTakeTheBarrierRung) {
     const std::size_t n = 9 + static_cast<std::size_t>(trial) % 2;
     const Ring ring = family_ring(rng, n, 3 * trial + 2);  // every hop pays
     const graph::Cycle loop = ring.loop();
-    const auto hops =
-        core::make_hop_data(ring.graph, ring.prices, loop).value();
-    if (core::solve_active_set(hops).has_value()) continue;  // certified
+    core::SegmentTable table(
+        core::make_hop_data(ring.graph, ring.prices, loop).value());
+    if (core::solve_active_set(table).has_value()) continue;  // certified
     ++uncertified;
     SCOPED_TRACE("trial " + std::to_string(trial) + " n=" +
                  std::to_string(n) + " " + loop.describe(ring.graph));
@@ -369,8 +444,14 @@ TEST(ActiveSetDifferentialTest, UncertifiedLongLoopsTakeTheBarrierRung) {
       EXPECT_GT(solved->outcome.solver_iterations, 0);
     }
     const double convex = solved->outcome.monetized_usd;
+    // The certificate attempt filled the rotations before the barrier ran.
+    ASSERT_EQ(solved->rotations.size(), n);
+    for (std::size_t s = 0; s < n; ++s) {
+      EXPECT_EQ(solved->rotations[s].input, table.rotation(s).input);
+      EXPECT_EQ(solved->rotations[s].output, table.rotation(s).output);
+    }
 
-    const auto full = core::enumerate_active_set(hops, &ring.graph);
+    const auto full = core::enumerate_active_set(table, &ring.graph);
     ASSERT_TRUE(full.has_value());
     EXPECT_TRUE(agree(convex, full->profit_usd))
         << "barrier rung " << convex << " vs enumeration " << full->profit_usd;
@@ -406,6 +487,97 @@ TEST(ActiveSetDifferentialTest, SectionFiveRetainsExactlyYAndZ) {
       core::FlowInstance::from_cycle(m.graph, m.prices, m.loop()).value());
   ASSERT_TRUE(barrier.ok());
   EXPECT_TRUE(agree(solved->outcome.monetized_usd, barrier->objective));
+}
+
+/// The paper market (generator defaults + the paper's pool filter), or
+/// the same market with 20% StableSwap and 20% concentrated pools.
+market::MarketSnapshot study_market(bool mixed) {
+  market::GeneratorConfig gen;
+  if (mixed) {
+    gen.stable_fraction = 0.2;
+    gen.concentrated_fraction = 0.2;
+  }
+  return market::generate_snapshot(gen).filtered(market::PoolFilter{});
+}
+
+TEST(ActiveSetDifferentialTest, ScannedSingleStartMatchesReferences) {
+  const market::MarketSnapshot market = study_market(true);
+  int mixed = 0;
+  for (const core::StrategyKind strategy :
+       {core::StrategyKind::kMaxMax, core::StrategyKind::kMaxPrice}) {
+    SCOPED_TRACE(std::string(core::to_string(strategy)));
+    core::ScannerConfig config;
+    config.loop_lengths = {3};
+    config.strategy = strategy;
+    const auto opportunities =
+        core::scan_market(market.graph, market.prices, config).value();
+    ASSERT_FALSE(opportunities.empty());
+    for (const core::Opportunity& op : opportunities) {
+      SCOPED_TRACE(op.cycle.describe(market.graph));
+      if (!op.cycle.all_cpmm(market.graph)) ++mixed;
+      // The pick among the references: the best monetized rotation
+      // (MaxMax) or the highest-priced start token (MaxPrice), first on
+      // ties, as the strategies define it.
+      std::size_t pick = 0;
+      double best = -1.0;
+      for (std::size_t s = 0; s < op.cycle.length(); ++s) {
+        const TokenId token = op.cycle.tokens()[s];
+        const double price = market.prices.price(token).value();
+        const double key =
+            strategy == core::StrategyKind::kMaxPrice
+                ? price
+                : price *
+                      reference_rotation(market.graph, op.cycle, s).profit;
+        if (key > best) {
+          best = key;
+          pick = s;
+        }
+      }
+      if (strategy == core::StrategyKind::kMaxPrice ||
+          op.cycle.all_cpmm(market.graph)) {
+        expect_matches_reference(market.graph, market.prices, op.cycle, pick,
+                                 op.outcome);
+      } else {
+        // Two rotations within the bar of each other may swap places.
+        EXPECT_TRUE(agree(op.outcome.monetized_usd, best))
+            << "MaxMax " << op.outcome.monetized_usd << " vs reference "
+            << best;
+      }
+    }
+  }
+  EXPECT_GT(mixed, 20);
+}
+
+TEST(ActiveSetDifferentialTest, ConvexDiagnosticsReadTheTableRotations) {
+  for (const bool mixed : {false, true}) {
+    SCOPED_TRACE(mixed ? "mixed market" : "paper market");
+    const market::MarketSnapshot market = study_market(mixed);
+    core::ScannerConfig config;
+    config.loop_lengths = {3};
+    config.strategy = core::StrategyKind::kConvexOptimization;
+    const auto opportunities =
+        core::scan_market(market.graph, market.prices, config).value();
+    ASSERT_GT(opportunities.size(), 50u);
+    for (const core::Opportunity& op : opportunities) {
+      SCOPED_TRACE(op.cycle.describe(market.graph));
+      const auto rotations =
+          core::evaluate_all_rotations(market.graph, market.prices, op.cycle)
+              .value();
+      const core::LoopDiagnostics want =
+          core::analyze_loop(market.graph, market.prices, op.cycle, rotations)
+              .value();
+      const core::LoopDiagnostics& got = op.diagnostics;
+      EXPECT_EQ(got.length, want.length);
+      EXPECT_EQ(got.price_product, want.price_product);
+      EXPECT_EQ(got.log_margin, want.log_margin);
+      EXPECT_EQ(got.optimal_input, want.optimal_input);
+      EXPECT_EQ(got.input_to_reserve_ratio, want.input_to_reserve_ratio);
+      EXPECT_EQ(got.best_profit_usd, want.best_profit_usd);
+      EXPECT_EQ(got.loop_tvl_usd, want.loop_tvl_usd);
+      EXPECT_EQ(got.profit_per_tvl, want.profit_per_tvl);
+      EXPECT_EQ(got.bottleneck_tvl_usd, want.bottleneck_tvl_usd);
+    }
+  }
 }
 
 }  // namespace

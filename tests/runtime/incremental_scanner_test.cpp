@@ -395,6 +395,19 @@ TEST(IncrementalScannerTest, CreateValidatesConfig) {
   core::ScannerConfig bad;
   bad.loop_lengths = {1};
   EXPECT_FALSE(IncrementalScanner::create(snapshot, bad).ok());
+
+  // Traditional names no start token: rejected at create, even on a
+  // market whose loops would never reach the solver.
+  const core::testing::NoArbMarket m;
+  market::MarketSnapshot no_arb;
+  no_arb.graph = m.graph;
+  no_arb.prices = m.prices;
+  core::ScannerConfig traditional;
+  traditional.loop_lengths = {3};
+  traditional.strategy = core::StrategyKind::kTraditional;
+  const auto created = IncrementalScanner::create(no_arb, traditional);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.error().code, ErrorCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "market/generator.hpp"
 
 namespace arb::sim {
@@ -34,6 +35,14 @@ TEST(CompetitionTest, ValidationRejectsDegenerateSetups) {
                       {BotSpec{"a", core::StrategyKind::kMaxMax}},
                       zero_blocks)
           .ok());
+  // Traditional names no start token: rejected, not run as MaxMax.
+  const auto traditional = run_competition(
+      snapshot,
+      {BotSpec{"a", core::StrategyKind::kMaxMax},
+       BotSpec{"b", core::StrategyKind::kTraditional}},
+      default_config(1));
+  ASSERT_FALSE(traditional.ok());
+  EXPECT_EQ(traditional.error().code, ErrorCode::kInvalidArgument);
 }
 
 TEST(CompetitionTest, SingleBotWinsEveryContestedBlock) {

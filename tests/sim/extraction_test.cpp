@@ -1,6 +1,7 @@
 // Tests for sim/extraction.hpp and sim/integer_check.hpp.
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "core/plan.hpp"
 #include "graph/cycle_enumeration.hpp"
 #include "market/generator.hpp"
@@ -23,6 +24,17 @@ TEST(ExtractionTest, SingleLoopExtractsOnceThenStops) {
   EXPECT_EQ(result->remaining_profitable, 0u);
   // The loop is drained afterwards.
   EXPECT_LE(m.loop().price_product(m.graph), 1.0 + 1e-9);
+}
+
+TEST(ExtractionTest, TraditionalStrategyIsRejected) {
+  // Traditional names no start token: rejected even when no loop would
+  // be priced (no loops at all here), not run as MaxMax.
+  Section5Market m;
+  ExtractionConfig config;
+  config.strategy = core::StrategyKind::kTraditional;
+  const auto result = extract_all(m.graph, m.prices, {}, config);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, ErrorCode::kInvalidArgument);
 }
 
 TEST(ExtractionTest, ConvexStrategyExtractsAtLeastAsMuchFromOneLoop) {

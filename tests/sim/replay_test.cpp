@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "market/generator.hpp"
 
 namespace arb::sim {
@@ -21,6 +22,16 @@ TEST(ReplayTest, RunsConfiguredBlockCount) {
   auto result = run_replay(small_market(), config);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->blocks.size(), 5u);
+}
+
+TEST(ReplayTest, TraditionalStrategyIsRejected) {
+  // Traditional names no start token: rejected, not run as MaxMax.
+  ReplayConfig config;
+  config.blocks = 1;
+  config.strategy = core::StrategyKind::kTraditional;
+  const auto result = run_replay(small_market(), config);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, ErrorCode::kInvalidArgument);
 }
 
 TEST(ReplayTest, DoesNotMutateInputSnapshot) {
